@@ -7,10 +7,10 @@
 //  - cycle: a mostly-idle population (the realistic regime — managed
 //    applications mostly compute and occasionally heartbeat). Per cycle a
 //    small active set sends one heartbeat each; the bench times rm.poll()
-//    and reports p50/p99. Legacy scan-all vs event loop quantifies the
-//    O(clients)-syscall-scan removal; in-process (100k clients full,
-//    10k --quick) isolates the cycle bookkeeping, real AF_UNIX sockets
-//    (10k full, 1k --quick) add the kernel.
+//    and reports p50/p99 for one event-loop server and, in process, for 4
+//    coordinated shards. In-process (100k clients full, 10k --quick)
+//    isolates the cycle bookkeeping, real AF_UNIX sockets (10k full, 1k
+//    --quick) add the kernel.
 //
 //  - roundtrip: 64 registered apps resubmit operating points under a large
 //    idle population; the bench times burst → every app holds its fresh
@@ -128,9 +128,9 @@ ipc::RegisterRequest active_registration(int index) {
   return reg;
 }
 
-/// In-process cycle benchmark against one RmServer (legacy scan or event
-/// loop) or a sharded coordinator, chosen by the poll functor: `clients`
-/// silent unregistered channels plus `active` registered heartbeaters.
+/// In-process cycle benchmark against one RmServer or a sharded
+/// coordinator, chosen by the poll functor: `clients` silent unregistered
+/// channels plus `active` registered heartbeaters.
 template <typename MakeServer>
 CycleStats inproc_cycle_bench(int clients, int active, int cycles, MakeServer make_server) {
   auto [adopt, poll_once] = make_server();
@@ -153,11 +153,10 @@ CycleStats inproc_cycle_bench(int clients, int active, int cycles, MakeServer ma
 
 /// Socket-transport cycle benchmark: `clients` real AF_UNIX connections into
 /// one RmServer.
-CycleStats socket_cycle_bench(bool use_event_loop, int clients, int active, int cycles,
+CycleStats socket_cycle_bench(int clients, int active, int cycles,
                               const std::string& socket_path) {
   core::RmServerOptions options;
   options.lease_seconds = 0;
-  options.use_event_loop = use_event_loop;
   core::RmServer rm(platform::raptor_lake(), options);
   Status listening = rm.listen(socket_path);
   if (!listening.ok()) {
@@ -301,27 +300,18 @@ int main(int argc, char** argv) {
   std::printf("== RM cycle latency, mostly-idle population (%d heartbeats/cycle) ==\n", active);
   std::printf("%-8s %-12s %8s %14s %14s\n", "wire", "server", "clients", "p50[us]", "p99[us]");
 
-  // In-process: legacy scan-all vs event loop vs 4 coordinated shards.
+  // In-process: one event-loop server vs 4 coordinated shards.
   {
-    auto make_single = [&hw](bool use_loop) {
-      return [&hw, use_loop]() {
-        core::RmServerOptions options;
-        options.lease_seconds = 0;
-        options.use_event_loop = use_loop;
-        auto rm = std::make_shared<core::RmServer>(hw, options);
-        return std::make_pair(
-            std::function<void(std::unique_ptr<ipc::Channel>)>(
-                [rm](std::unique_ptr<ipc::Channel> c) { rm->adopt_channel(std::move(c)); }),
-            std::function<void(double)>([rm](double now) { rm->poll(now); }));
-      };
+    auto make_single = [&hw]() {
+      core::RmServerOptions options;
+      options.lease_seconds = 0;
+      auto rm = std::make_shared<core::RmServer>(hw, options);
+      return std::make_pair(
+          std::function<void(std::unique_ptr<ipc::Channel>)>(
+              [rm](std::unique_ptr<ipc::Channel> c) { rm->adopt_channel(std::move(c)); }),
+          std::function<void(double)>([rm](double now) { rm->poll(now); }));
     };
-    CycleStats legacy =
-        inproc_cycle_bench(inproc_clients, active, cycles, make_single(false));
-    print_cycle("inproc", "legacy", inproc_clients, legacy);
-    rows.push_back(json::Value(
-        cycle_row("inproc", "legacy", inproc_clients, active, cycles, legacy)));
-
-    CycleStats loop = inproc_cycle_bench(inproc_clients, active, cycles, make_single(true));
+    CycleStats loop = inproc_cycle_bench(inproc_clients, active, cycles, make_single);
     print_cycle("inproc", "event_loop", inproc_clients, loop);
     rows.push_back(json::Value(
         cycle_row("inproc", "event_loop", inproc_clients, active, cycles, loop)));
@@ -342,16 +332,10 @@ int main(int argc, char** argv) {
         cycle_row("inproc", "sharded4", inproc_clients, active, cycles, sharded)));
   }
 
-  // Real sockets: the syscall scan is where the event loop pays off.
+  // Real sockets: the same cycle with the kernel's readiness reporting.
   if (socket_clients > 0) {
-    CycleStats legacy = socket_cycle_bench(false, socket_clients, active, cycles,
-                                           "/tmp/harp_rm_scale_legacy.sock");
-    print_cycle("socket", "legacy", socket_clients, legacy);
-    rows.push_back(json::Value(
-        cycle_row("socket", "legacy", socket_clients, active, cycles, legacy)));
-
-    CycleStats loop = socket_cycle_bench(true, socket_clients, active, cycles,
-                                         "/tmp/harp_rm_scale_loop.sock");
+    CycleStats loop =
+        socket_cycle_bench(socket_clients, active, cycles, "/tmp/harp_rm_scale_loop.sock");
     print_cycle("socket", "event_loop", socket_clients, loop);
     rows.push_back(json::Value(
         cycle_row("socket", "event_loop", socket_clients, active, cycles, loop)));

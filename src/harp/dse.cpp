@@ -1,6 +1,6 @@
 #include "src/harp/dse.hpp"
 
-#include "src/mlmodels/pareto.hpp"
+#include "src/harp/decision_core.hpp"
 
 namespace harp::core {
 
@@ -24,9 +24,9 @@ OperatingPointTable run_offline_dse(const model::AppBehavior& app,
   if (options.tracer != nullptr)
     options.tracer->begin(telemetry::EventType::kDseSweep, app.name,
                           {{"candidates", static_cast<double>(candidates.size())}});
-  std::vector<NonFunctional> nfcs;
-  nfcs.reserve(candidates.size());
-  for (const platform::ExtendedResourceVector& erv : candidates) {
+  std::vector<OperatingPoint> points;
+  points.reserve(candidates.size());
+  for (platform::ExtendedResourceVector& erv : candidates) {
     model::AppRates rates =
         is_static ? model::pinned_rates(app, hw, erv, app.default_threads, rebalance,
                                         options.freq_scale)
@@ -43,21 +43,12 @@ OperatingPointTable run_offline_dse(const model::AppBehavior& app,
       nfc.utility = app.provides_utility ? rates.useful_gips : rates.measured_gips;
     }
     nfc.power_w = rates.power_w;
-    nfcs.push_back(nfc);
+    points.push_back(OperatingPoint{std::move(erv), nfc});
   }
 
   std::vector<std::size_t> keep;
   if (options.pareto_filter) {
-    // Objectives, all minimised: −utility, power, cores per type.
-    std::vector<std::vector<double>> objectives;
-    objectives.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      std::vector<double> row{-nfcs[i].utility, nfcs[i].power_w};
-      for (int t = 0; t < candidates[i].num_types(); ++t)
-        row.push_back(static_cast<double>(candidates[i].cores_used(t)));
-      objectives.push_back(std::move(row));
-    }
-    keep = ml::pareto_front(objectives);
+    keep = pareto_front(points);
   } else {
     keep.resize(candidates.size());
     for (std::size_t i = 0; i < keep.size(); ++i) keep[i] = i;
@@ -65,14 +56,15 @@ OperatingPointTable run_offline_dse(const model::AppBehavior& app,
 
   OperatingPointTable table(app.name);
   for (std::size_t i : keep) {
+    const OperatingPoint& p = points[i];
     if (options.measurements_per_point <= 0) {
-      table.set_point(candidates[i], nfcs[i]);
+      table.set_point(p.erv, p.nfc);
       continue;
     }
     // Record as measurements so the RM treats the table as stable (the EMA
     // of a constant series is that constant).
     for (int m = 0; m < options.measurements_per_point; ++m)
-      table.record_measurement(candidates[i], nfcs[i].utility, nfcs[i].power_w);
+      table.record_measurement(p.erv, p.nfc.utility, p.nfc.power_w);
   }
   if (options.tracer != nullptr)
     options.tracer->end(telemetry::EventType::kDseSweep, app.name,

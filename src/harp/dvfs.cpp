@@ -1,10 +1,8 @@
 #include "src/harp/dvfs.hpp"
 
-#include <algorithm>
-
 #include "src/common/check.hpp"
+#include "src/harp/decision_core.hpp"
 #include "src/harp/dse.hpp"
-#include "src/mlmodels/pareto.hpp"
 
 namespace harp::core {
 
@@ -86,25 +84,12 @@ void DvfsHarpPolicy::reallocate() {
     // Joint Pareto filter over (utility↑, power↓, cores↓) across all levels;
     // frequency is not an objective of its own — it only matters through
     // its effect on utility and power.
-    std::vector<std::vector<double>> objectives;
-    for (const OperatingPoint& p : candidates) {
-      std::vector<double> row{-p.nfc.utility, p.nfc.power_w};
-      for (int t = 0; t < p.erv.num_types(); ++t)
-        row.push_back(static_cast<double>(p.erv.cores_used(t)));
-      objectives.push_back(std::move(row));
-    }
-    std::vector<std::size_t> front = ml::pareto_front(objectives);
-    double v_max = 1e-9;
-    for (std::size_t i : front) v_max = std::max(v_max, candidates[i].nfc.utility);
-
     AllocationGroup group;
     group.app_name = app->name;
+    std::vector<std::size_t> front;
+    finish_group(candidates, group, &front);
     std::vector<double> kept_freqs;
-    for (std::size_t i : front) {
-      group.candidates.push_back(candidates[i]);
-      group.costs.push_back(energy_utility_cost(candidates[i].nfc, v_max));
-      kept_freqs.push_back(freqs[i]);
-    }
+    for (std::size_t i : front) kept_freqs.push_back(freqs[i]);
     ids.push_back(id);
     groups.push_back(std::move(group));
     freq_of.push_back(std::move(kept_freqs));

@@ -5,7 +5,6 @@
 #include "src/common/check.hpp"
 #include "src/common/logging.hpp"
 #include "src/harp/dse.hpp"
-#include "src/mlmodels/pareto.hpp"
 
 namespace harp::core {
 
@@ -27,13 +26,10 @@ struct HarpPolicy::ManagedApp {
   MaturityStage last_stage = MaturityStage::kInitial;
   int last_phase = 0;  ///< last reported execution stage (phase awareness)
 
-  /// Dirty-tracked choice group: rebuilt (surrogate fit + Pareto filter +
-  /// usage rows) only when the backing table mutated or the table key
-  /// switched (phase awareness) since the cached build.
-  AllocationGroup group;
-  std::uint64_t group_version = 0;
-  std::string group_key;
-  bool has_group = false;
+  /// Choice group, rebuilt (surrogate fit + Pareto filter + usage rows)
+  /// only when the backing table mutated or the table key switched (phase
+  /// awareness) since the cached build.
+  CachedGroup group;
 
   std::vector<double> cpu_marker;  ///< attribution window start
 };
@@ -68,18 +64,14 @@ void HarpPolicy::attach(sim::RunnerApi& api) {
   options_.exploration.tracer = options_.tracer;
   explorer_ = std::make_unique<AppExplorer>(api.hardware(), options_.exploration);
   attributor_ = std::make_unique<energy::EnergyAttributor>(api.hardware());
-  allocator_ = std::make_unique<Allocator>(api.hardware(), options_.solver, options_.tracer);
+  core_ = std::make_unique<DecisionCore>(api.hardware(), options_.solver, options_.tracer,
+                                         options_.metrics);
   unassigned_cores_.assign(api.hardware().core_types.size(), 0);
   next_measurement_time_ = options_.exploration.measurement_interval_s;
   if (options_.metrics != nullptr) {
     reallocs_counter_ = &options_.metrics->counter("rm_reallocs_total");
     measurements_counter_ = &options_.metrics->counter("rm_measurements_total");
     stage_transitions_counter_ = &options_.metrics->counter("rm_stage_transitions_total");
-    group_rebuilds_counter_ = &options_.metrics->counter("rm_group_rebuilds_total");
-    group_cache_hits_counter_ = &options_.metrics->counter("rm_group_cache_hits_total");
-    solve_replays_counter_ = &options_.metrics->counter("rm_solve_replays_total");
-    solve_incremental_counter_ = &options_.metrics->counter("rm_solve_incremental_total");
-    groups_rescanned_counter_ = &options_.metrics->counter("rm_solve_groups_rescanned_total");
   }
 }
 
@@ -136,6 +128,12 @@ MaturityStage HarpPolicy::stage_of(const std::string& app_name) const {
   auto it = tables_.find(app_name);
   if (it == tables_.end()) return MaturityStage::kInitial;
   return explorer_->stage(it->second);
+}
+
+const AllocationGroup* HarpPolicy::group_of(const std::string& app_name) const {
+  for (const auto& [id, app] : managed_)
+    if (app->name == app_name && app->group.valid) return &app->group.group;
+  return nullptr;
 }
 
 std::map<std::string, platform::ExtendedResourceVector> HarpPolicy::active_configs() const {
@@ -302,29 +300,21 @@ AllocationGroup HarpPolicy::build_group(const ManagedApp& app) const {
     // Fresh application: optimistic synthetic points (utility grows with
     // threads, power with active cores) so the allocator grants it room to
     // start exploring (§5.3: "sufficient resources to new applications").
-    for (const platform::ExtendedResourceVector& erv : enumerate_coarse_points(hw)) {
-      OperatingPoint p;
-      p.erv = erv;
-      if (app.behavior->qos.has_value()) {
-        // Deadline apps declare their contract at registration; seed with
-        // the analytic hit-rate of the allocation's raw issue capacity so
-        // synthetic utilities live on the same [0, 1] scale measurements
-        // will report.
-        const model::QosSpec& spec = *app.behavior->qos;
+    candidates = fair_share_points(hw);
+    if (app.behavior->qos.has_value()) {
+      // Deadline apps declare their contract at registration; seed with the
+      // analytic hit-rate of the allocation's raw issue capacity so
+      // synthetic utilities live on the same [0, 1] scale measurements will
+      // report.
+      const model::QosSpec& spec = *app.behavior->qos;
+      for (OperatingPoint& p : candidates) {
         double raw_gips = 0.0;
-        for (int t = 0; t < erv.num_types(); ++t)
+        for (int t = 0; t < p.erv.num_types(); ++t)
           raw_gips += hw.core_types[static_cast<std::size_t>(t)].base_gips *
-                      static_cast<double>(erv.cores_used(t));
+                      static_cast<double>(p.erv.cores_used(t));
         p.nfc.utility =
             model::qos_utility(raw_gips / spec.work_per_request_gi, spec.nominal_rate_rps, spec);
-      } else {
-        p.nfc.utility = static_cast<double>(erv.total_threads());
       }
-      double power = 0.0;
-      for (int t = 0; t < erv.num_types(); ++t)
-        power += hw.core_types[static_cast<std::size_t>(t)].active_power_w * erv.cores_used(t);
-      p.nfc.power_w = power;
-      candidates.push_back(std::move(p));
     }
   } else {
     // Measured points verbatim; unmeasured configurations approximated by
@@ -374,25 +364,8 @@ AllocationGroup HarpPolicy::build_group(const ManagedApp& app) const {
   for (std::size_t i = 0; i < candidates.size(); ++i)
     if (i == min_footprint || candidates[i].nfc.utility >= 0.05 * v_best)
       kept.push_back(candidates[i]);
-  candidates = std::move(kept);
-
-  // Pareto-filter the group (utility max; power and per-type cores min) to
-  // keep the MMKP instance small.
-  std::vector<std::vector<double>> objectives;
-  objectives.reserve(candidates.size());
-  for (const OperatingPoint& p : candidates) {
-    std::vector<double> row{-p.nfc.utility, p.nfc.power_w};
-    for (int t = 0; t < p.erv.num_types(); ++t)
-      row.push_back(static_cast<double>(p.erv.cores_used(t)));
-    objectives.push_back(std::move(row));
-  }
-  std::vector<std::size_t> front = ml::pareto_front(objectives);
-  double v_max = 1e-9;
-  for (std::size_t i : front) v_max = std::max(v_max, candidates[i].nfc.utility);
-  for (std::size_t i : front) {
-    group.candidates.push_back(candidates[i]);
-    group.costs.push_back(energy_utility_cost(candidates[i].nfc, v_max));
-  }
+  // Pareto-filter to keep the MMKP instance small, and price with ζ.
+  double v_max = finish_group(kept, group);
 
   // Deadline apps carry a slack-priced soft-QoS row: candidates whose
   // (hit-rate-shaped) utility falls below the contract's min_hit_rate pay a
@@ -424,45 +397,14 @@ void HarpPolicy::reallocate() {
                    {"cycle", static_cast<double>(alloc_cycles_)}});
 
   const platform::HardwareDescription& hw = api_->hardware();
-  const int num_types = static_cast<int>(hw.core_types.size());
-  std::vector<sim::AppId> ids;
-  group_ptrs_.clear();
-  dirty_scratch_.clear();
-  for (auto& [id, app] : managed_) {
-    ids.push_back(id);
-    std::string key = table_key(*app);
-    const OperatingPointTable& table = table_of(*app);
-    if (app->has_group && app->group_key == key && app->group_version == table.version()) {
-      if (group_cache_hits_counter_ != nullptr) group_cache_hits_counter_->inc();
-    } else {
-      app->group = build_group(*app);
-      app->group.prepare(num_types);
-      app->group_version = table.version();
-      app->group_key = std::move(key);
-      app->has_group = true;
-      if (group_rebuilds_counter_ != nullptr) group_rebuilds_counter_->inc();
-      // Rebuilt at position group_ptrs_.size(): this cycle's dirty index
-      // (ascending because managed_ iterates in AppId order).
-      dirty_scratch_.push_back(static_cast<std::uint32_t>(group_ptrs_.size()));
-    }
-    group_ptrs_.push_back(&app->group);
+  // managed_ iterates in AppId order, so positions are stable across cycles.
+  core_->begin_cycle();
+  for (auto& [id, managed] : managed_) {
+    const ManagedApp& app = *managed;
+    core_->add(static_cast<std::uint64_t>(id), managed->group, table_key(app),
+               table_of(app).version(), [this, &app] { return build_group(app); });
   }
-
-  // Dirty-subset solves additionally require the same apps in the same
-  // positions as the previous solve; any arrival/exit changes the AppId
-  // sequence and downgrades to a structural (full) solve.
-  bool same_structure = last_solve_ids_ == ids;
-  last_solve_ids_ = std::move(ids);
-  const std::vector<sim::AppId>& solve_ids = last_solve_ids_;
-
-  allocator_->solve(group_ptrs_, dirty_scratch_, !same_structure, solve_ws_, solve_result_);
-  if (solve_ws_.replayed() && solve_replays_counter_ != nullptr) solve_replays_counter_->inc();
-  if (solve_ws_.last_mode() == SolveMode::kIncremental && solve_incremental_counter_ != nullptr)
-    solve_incremental_counter_->inc();
-  if (groups_rescanned_counter_ != nullptr)
-    groups_rescanned_counter_->inc(
-        static_cast<std::uint64_t>(solve_ws_.last_rescanned_groups()));
-  AllocationResult& result = solve_result_;
+  const AllocationResult& result = core_->solve();
   if (!result.feasible) {
     // §4.2.2 Limitations: demand exceeds capacity even at minimum points —
     // relax constraint (1b) and let applications co-allocate under the OS
@@ -483,9 +425,9 @@ void HarpPolicy::reallocate() {
   unassigned_cores_.assign(hw.core_types.size(), 0);
   for (std::size_t t = 0; t < hw.core_types.size(); ++t)
     unassigned_cores_[t] = hw.core_types[t].core_count;
-  for (std::size_t g = 0; g < group_ptrs_.size(); ++g) {
-    ManagedApp& app = *managed_.at(solve_ids[g]);
-    const AllocationGroup& group = *group_ptrs_[g];
+  for (std::size_t g = 0; g < core_->ids().size(); ++g) {
+    ManagedApp& app = *managed_.at(static_cast<sim::AppId>(core_->ids()[g]));
+    const AllocationGroup& group = core_->group(g);
     const OperatingPoint& point = group.candidates[result.selection[g]];
     app.mmkp_erv = point.erv;
     for (std::size_t t = 0; t < hw.core_types.size(); ++t)

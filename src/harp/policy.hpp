@@ -24,7 +24,7 @@
 #include <string>
 
 #include "src/energy/attribution.hpp"
-#include "src/harp/allocator.hpp"
+#include "src/harp/decision_core.hpp"
 #include "src/harp/exploration.hpp"
 #include "src/harp/operating_point.hpp"
 #include "src/sim/runner.hpp"
@@ -100,6 +100,9 @@ class HarpPolicy : public sim::Policy {
 
   /// Currently applied configuration per managed application (diagnostics).
   std::map<std::string, platform::ExtendedResourceVector> active_configs() const;
+  /// Cached MMKP choice group of a managed application; null before its
+  /// first allocation (diagnostics, the policy/daemon parity test).
+  const AllocationGroup* group_of(const std::string& app_name) const;
 
  private:
   struct ManagedApp;
@@ -118,7 +121,7 @@ class HarpPolicy : public sim::Policy {
   sim::RunnerApi* api_ = nullptr;
   std::unique_ptr<AppExplorer> explorer_;
   std::unique_ptr<energy::EnergyAttributor> attributor_;
-  std::unique_ptr<Allocator> allocator_;
+  std::unique_ptr<DecisionCore> core_;
 
   std::map<std::string, OperatingPointTable> tables_;  // persists across restarts
   std::map<sim::AppId, std::unique_ptr<ManagedApp>> managed_;
@@ -134,22 +137,6 @@ class HarpPolicy : public sim::Policy {
   telemetry::Counter* reallocs_counter_ = nullptr;
   telemetry::Counter* measurements_counter_ = nullptr;
   telemetry::Counter* stage_transitions_counter_ = nullptr;
-  telemetry::Counter* group_rebuilds_counter_ = nullptr;
-  telemetry::Counter* group_cache_hits_counter_ = nullptr;
-  telemetry::Counter* solve_replays_counter_ = nullptr;
-  telemetry::Counter* solve_incremental_counter_ = nullptr;
-  telemetry::Counter* groups_rescanned_counter_ = nullptr;
-
-  /// Hot-path state reused across allocation cycles (solver replay cache,
-  /// scratch buffers, cached-group pointer vector).
-  SolveWorkspace solve_ws_;
-  AllocationResult solve_result_;
-  std::vector<const AllocationGroup*> group_ptrs_;
-  /// AppIds (in group order) of the last solved instance — positional
-  /// equality is the structural-sameness certificate for dirty-subset
-  /// solves — plus the ascending rebuilt-group indices of this cycle.
-  std::vector<sim::AppId> last_solve_ids_;
-  std::vector<std::uint32_t> dirty_scratch_;
 
   // Capacity left unassigned by the last MMKP solve, per core type.
   std::vector<int> unassigned_cores_;

@@ -7,7 +7,6 @@
 #include "src/common/logging.hpp"
 #include "src/common/parallel_for.hpp"
 #include "src/common/race_registry.hpp"
-#include "src/mlmodels/pareto.hpp"
 
 namespace harp::core {
 
@@ -20,7 +19,7 @@ struct RmServer::Client {
   /// Readiness flag, set by the event loop (fd channels) or by the channel's
   /// ready hook (in-process channels, possibly from the sending thread) and
   /// test-and-cleared by the poll cycle. Shared so a hook outliving a poll
-  /// cycle can never dangle. Always true in legacy scan mode.
+  /// cycle can never dangle.
   std::shared_ptr<std::atomic<bool>> ready;
   /// True while the event loop watches this fd for writability (a partial
   /// frame is buffered awaiting flush_pending()).
@@ -42,36 +41,31 @@ struct RmServer::Client {
   /// Last activation pushed, replayed on idempotent re-registration.
   ipc::ActivateMsg last_activation;
   bool activation_sent = false;
-  /// Dirty-tracked choice group: rebuilt (Pareto filter + usage rows) only
-  /// when the operating-point table changed since it was built. The table
-  /// version is a conservative dirty signal — any table mutation invalidates;
-  /// the solver's instance fingerprint catches equal-content rebuilds.
-  AllocationGroup group;
-  std::uint64_t group_version = 0;
-  bool has_group = false;
+  /// Choice group, rebuilt (Pareto filter + usage rows) only when the
+  /// operating-point table changed since it was built. The table version is
+  /// a conservative dirty signal — any table mutation invalidates; the
+  /// solver's instance fingerprint catches equal-content rebuilds.
+  CachedGroup cached;
 };
 
 RmServer::RmServer(platform::HardwareDescription hw, RmServerOptions options)
-    : hw_(std::move(hw)), options_(options), allocator_(hw_, options.solver, options.tracer) {
+    : loop_(std::make_shared<ipc::EventLoop>()),
+      hw_(std::move(hw)),
+      options_(options),
+      core_(hw_, options.solver, options.tracer, options.metrics) {
+  // Without its event loop (pipe/epoll fds exhausted) the process could not
+  // serve sockets either.
+  HARP_CHECK_MSG(loop_->valid(), "RM event loop unavailable (file descriptors exhausted?)");
   HARP_CHECK(options_.solver_workers >= 1);
   if (options_.solver_workers > 1) {
     solve_pool_ = std::make_unique<harp::ParallelFor>(options_.solver_workers);
-    allocator_.set_parallelism(solve_pool_.get());
-  }
-  if (options_.use_event_loop) {
-    loop_ = std::make_shared<ipc::EventLoop>();
-    if (!loop_->valid()) loop_ = nullptr;  // degrade to the legacy scan cycle
+    core_.set_parallelism(solve_pool_.get());
   }
   if (options_.metrics != nullptr) {
     reallocs_counter_ = &options_.metrics->counter("rm_reallocs_total");
     registrations_counter_ = &options_.metrics->counter("rm_registrations_total");
     evictions_counter_ = &options_.metrics->counter("rm_lease_evictions_total");
     malformed_counter_ = &options_.metrics->counter("rm_malformed_frames_total");
-    group_rebuilds_counter_ = &options_.metrics->counter("rm_group_rebuilds_total");
-    group_cache_hits_counter_ = &options_.metrics->counter("rm_group_cache_hits_total");
-    solve_replays_counter_ = &options_.metrics->counter("rm_solve_replays_total");
-    solve_incremental_counter_ = &options_.metrics->counter("rm_solve_incremental_total");
-    groups_rescanned_counter_ = &options_.metrics->counter("rm_solve_groups_rescanned_total");
     realloc_skips_counter_ = &options_.metrics->counter("rm_realloc_skips_total");
     eventloop_cycles_counter_ = &options_.metrics->counter("rm_eventloop_cycles_total");
     eventloop_ready_counter_ = &options_.metrics->counter("rm_eventloop_ready_fds");
@@ -87,7 +81,7 @@ Status RmServer::listen(const std::string& socket_path) {
   if (!server.ok()) return Status(server.error());
   MutexLock lock(mutex_);
   server_ = std::move(server).take();
-  if (loop_ != nullptr) (void)loop_->add(server_->fd(), ipc::kEventReadable);
+  (void)loop_->add(server_->fd(), ipc::kEventReadable);
   return Status{};
 }
 
@@ -110,25 +104,32 @@ void RmServer::adopt_channel_locked(std::unique_ptr<ipc::Channel> channel,
   client->fd = client->channel->native_handle();
   // New channels start ready: frames may have arrived before adoption.
   client->ready = std::make_shared<std::atomic<bool>>(true);
-  if (loop_ != nullptr) {
-    if (client->fd >= 0) {
-      (void)loop_->add(client->fd, ipc::kEventReadable);
-      by_fd_[client->fd] = client.get();
-      // Event-loop mode: never block the cycle on one slow peer; partial
-      // frames buffer and flush on the fd's next writable event.
-      client->channel->set_nonblocking_send(true);
-    } else {
-      // In-process transport: readiness arrives through the push hook, which
-      // may fire from the sending thread. The shared flag keeps the store
-      // safe even if the hook outlives this client; the weak loop pointer
-      // keeps the wakeup safe even if it outlives this server.
-      std::shared_ptr<std::atomic<bool>> ready = client->ready;
-      std::weak_ptr<ipc::EventLoop> weak_loop = loop_;
-      client->channel->set_ready_hook([ready, weak_loop] {
-        ready->store(true, std::memory_order_release);
-        if (std::shared_ptr<ipc::EventLoop> loop = weak_loop.lock()) loop->wakeup();
-      });
+  if (client->fd >= 0) {
+    // A client whose channel died (a failed send closes its fd) stays
+    // mapped until the next cycle drops it. If the kernel has already
+    // handed its fd number to this channel, drop it now: its drop would
+    // otherwise unwatch and unmap the new client.
+    if (auto stale = by_fd_.find(client->fd); stale != by_fd_.end()) {
+      auto owner = std::find_if(clients_.begin(), clients_.end(),
+                                [&](const auto& c) { return c.get() == stale->second; });
+      drop_client(static_cast<std::size_t>(owner - clients_.begin()));
     }
+    (void)loop_->add(client->fd, ipc::kEventReadable);
+    by_fd_[client->fd] = client.get();
+    // Never block the cycle on one slow peer; partial frames buffer and
+    // flush on the fd's next writable event.
+    client->channel->set_nonblocking_send(true);
+  } else {
+    // In-process transport: readiness arrives through the push hook, which
+    // may fire from the sending thread. The shared flag keeps the store safe
+    // even if the hook outlives this client; the weak loop pointer keeps the
+    // wakeup safe even if it outlives this server.
+    std::shared_ptr<std::atomic<bool>> ready = client->ready;
+    std::weak_ptr<ipc::EventLoop> weak_loop = loop_;
+    client->channel->set_ready_hook([ready, weak_loop] {
+      ready->store(true, std::memory_order_release);
+      if (std::shared_ptr<ipc::EventLoop> loop = weak_loop.lock()) loop->wakeup();
+    });
   }
   lease_init_pending_.push_back(client.get());
   clients_.push_back(std::move(client));
@@ -147,11 +148,6 @@ std::uint64_t RmServer::realloc_count() const {
 std::uint64_t RmServer::lease_evictions() const {
   MutexLock lock(mutex_);
   return lease_evictions_;
-}
-
-std::optional<ipc::EventLoop::Backend> RmServer::loop_backend() const {
-  if (loop_ == nullptr) return std::nullopt;
-  return loop_->backend();
 }
 
 double RmServer::last_utility(const std::string& app_name) const {
@@ -187,24 +183,11 @@ std::vector<ClientSnapshot> RmServer::snapshot() const {
   return out;
 }
 
-void RmServer::poll(double now_seconds) { poll_impl(now_seconds, 0); }
+void RmServer::poll(double now_seconds) { poll(now_seconds, 0); }
 
-void RmServer::poll(double now_seconds, int timeout_ms) { poll_impl(now_seconds, timeout_ms); }
+void RmServer::wakeup() { loop_->wakeup(); }
 
-void RmServer::wakeup() {
-  if (loop_ != nullptr) loop_->wakeup();
-}
-
-void RmServer::poll_impl(double now_seconds, int timeout_ms) {
-  if (loop_ == nullptr) {
-    // Legacy scan cycle: every client is treated as ready every cycle.
-    MutexLock lock(mutex_);
-    HARP_TRACK_SHARED(&clients_);
-    accept_pending_locked();
-    process_cycle_locked(now_seconds);
-    return;
-  }
-
+void RmServer::poll(double now_seconds, int timeout_ms) {
   // Wait outside the lock so accessors (and wakeup-triggering adopters) are
   // never blocked behind the kernel wait.
   Result<int> waited = loop_->wait(timeout_ms, ready_scratch_);
@@ -261,15 +244,14 @@ void RmServer::process_cycle_locked(double now_seconds) {
     if (client->last_heard < 0.0) client->last_heard = now_seconds;
   lease_init_pending_.clear();
 
-  // Drain client messages — only the ready ones when readiness is tracked —
-  // and drop broken/closed clients. Iteration stays in adoption order so
-  // message processing (and therefore allocation state) is deterministic
-  // regardless of the order the kernel reported readiness in.
-  const bool selective = loop_ != nullptr;
+  // Drain the ready clients' messages and drop broken/closed clients.
+  // Iteration stays in adoption order so message processing (and therefore
+  // allocation state) is deterministic regardless of the order the kernel
+  // reported readiness in.
   for (std::size_t i = 0; i < clients_.size();) {
     Client& client = *clients_[i];
-    bool ready = !selective || client.ready->exchange(false, std::memory_order_acq_rel);
-    if (ready) process_client_messages(client, now_seconds);
+    if (client.ready->exchange(false, std::memory_order_acq_rel))
+      process_client_messages(client, now_seconds);
     if (client.channel->closed()) {
       drop_client(i);
       continue;
@@ -311,12 +293,10 @@ void RmServer::process_cycle_locked(double now_seconds) {
   // Sends above may have left partial frames buffered on slow peers; ask the
   // loop to tell us when those fds drain. fd-backed clients only — in-proc
   // channels never buffer.
-  if (loop_ != nullptr) {
-    for (auto& [fd, client] : by_fd_) {
-      if (!client->watching_write && client->channel->has_pending_send()) {
-        (void)loop_->modify(fd, ipc::kEventReadable | ipc::kEventWritable);
-        client->watching_write = true;
-      }
+  for (auto& [fd, client] : by_fd_) {
+    if (!client->watching_write && client->channel->has_pending_send()) {
+      (void)loop_->modify(fd, ipc::kEventReadable | ipc::kEventWritable);
+      client->watching_write = true;
     }
   }
 }
@@ -437,7 +417,7 @@ void RmServer::handle_registration(Client& client, const ipc::RegisterRequest& r
   client.table = OperatingPointTable(client.name);
   // The replacement table restarts at version 0; drop any cached group so
   // the version comparison cannot pair the fresh table with a stale build.
-  client.has_group = false;
+  client.cached.valid = false;
   identity_[key] = &client;
   // harp-lint: allow(r12 channel sends are nonblocking: partial frames buffer and drain via the loop)
   (void)client.channel->send(ipc::Message(ipc::RegisterAck{client.app_id}));
@@ -458,64 +438,11 @@ void RmServer::drop_client(std::size_t index) {
     if (it != identity_.end() && it->second == &client) identity_.erase(it);
   }
   if (client.fd >= 0) {
-    if (loop_ != nullptr) loop_->remove(client.fd);
+    loop_->remove(client.fd);
     by_fd_.erase(client.fd);
   }
   clients_.erase(clients_.begin() + static_cast<long>(index));
   needs_realloc_ = true;
-}
-
-AllocationGroup RmServer::build_group(const Client& client) const {
-  AllocationGroup group;
-  group.app_name = client.name;
-
-  std::vector<OperatingPoint> candidates = client.table.points(0);
-  if (candidates.empty()) {
-    // No description file: fair-share fallback — one candidate per feasible
-    // thread count, utility proportional to threads (optimistic), so the
-    // MMKP can still trade resources between described and undescribed apps.
-    for (const platform::ExtendedResourceVector& erv : enumerate_coarse_points(hw_)) {
-      OperatingPoint p;
-      p.erv = erv;
-      p.nfc.utility = static_cast<double>(erv.total_threads());
-      double power = 0.0;
-      for (int t = 0; t < erv.num_types(); ++t)
-        power += hw_.core_types[static_cast<std::size_t>(t)].active_power_w * erv.cores_used(t);
-      p.nfc.power_w = power;
-      candidates.push_back(std::move(p));
-    }
-  }
-
-  // Pareto-filter to keep the instance small.
-  std::vector<std::vector<double>> objectives;
-  objectives.reserve(candidates.size());
-  for (const OperatingPoint& p : candidates) {
-    std::vector<double> row{-p.nfc.utility, p.nfc.power_w};
-    for (int t = 0; t < p.erv.num_types(); ++t)
-      row.push_back(static_cast<double>(p.erv.cores_used(t)));
-    objectives.push_back(std::move(row));
-  }
-  std::vector<std::size_t> front = ml::pareto_front(objectives);
-  double v_max = 1e-9;
-  for (std::size_t i : front) v_max = std::max(v_max, candidates[i].nfc.utility);
-  for (std::size_t i : front) {
-    group.candidates.push_back(candidates[i]);
-    group.costs.push_back(energy_utility_cost(candidates[i].nfc, v_max));
-  }
-  return group;
-}
-
-bool RmServer::refresh_group_locked(Client& client) {
-  if (client.has_group && client.group_version == client.table.version()) {
-    if (group_cache_hits_counter_ != nullptr) group_cache_hits_counter_->inc();
-    return false;
-  }
-  client.group = build_group(client);
-  client.group.prepare(static_cast<int>(hw_.core_types.size()));
-  client.group_version = client.table.version();
-  client.has_group = true;
-  if (group_rebuilds_counter_ != nullptr) group_rebuilds_counter_->inc();
-  return true;
 }
 
 void RmServer::send_activation_locked(Client& client, const OperatingPoint& point,
@@ -560,15 +487,36 @@ void RmServer::send_coallocation_locked(Client& client) {
   (void)client.channel->send(ipc::Message(activate));
 }
 
-void RmServer::export_groups(std::vector<ExportedGroup>& out) {
-  out.clear();
-  MutexLock lock(mutex_);
+void RmServer::begin_cycle_locked() {
+  // Rebuild only the groups whose operating-point table changed since the
+  // cached build; the core solves incrementally over the rest.
+  const platform::HardwareDescription& hw = hw_;
+  cycle_clients_.clear();
+  core_.begin_cycle();
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     Client* client = clients_[i].get();
     if (!client->registered) continue;
-    refresh_group_locked(*client);
-    out.push_back(ExportedGroup{client->admission, i, &client->group});
+    cycle_clients_.push_back(i);
+    // The client's table, or the fair-share fallback while it has none.
+    core_.add(static_cast<std::uint64_t>(client->app_id), client->cached, {},
+              client->table.version(), [&hw, client] {
+                AllocationGroup group;
+                group.app_name = client->name;
+                std::vector<OperatingPoint> candidates = client->table.points(0);
+                if (candidates.empty()) candidates = fair_share_points(hw);
+                finish_group(candidates, group);
+                return group;
+              });
   }
+}
+
+void RmServer::export_groups(std::vector<ExportedGroup>& out) {
+  out.clear();
+  MutexLock lock(mutex_);
+  begin_cycle_locked();
+  for (std::size_t g = 0; g < cycle_clients_.size(); ++g)
+    out.push_back(
+        ExportedGroup{clients_[cycle_clients_[g]]->admission, cycle_clients_[g], &core_.group(g)});
 }
 
 bool RmServer::take_needs_realloc() {
@@ -600,108 +548,61 @@ void RmServer::set_core_budget(std::vector<std::vector<int>> owned_cores) {
   if (!owned_cores_.empty())
     for (std::size_t t = 0; t < budget_hw.core_types.size(); ++t)
       budget_hw.core_types[t].core_count = static_cast<int>(owned_cores_[t].size());
-  allocator_ = Allocator(budget_hw, options_.solver, options_.tracer);
-  if (solve_pool_ != nullptr) allocator_.set_parallelism(solve_pool_.get());
-  // The cached fingerprint was computed against the old capacity vector;
-  // replaying it against the new one would hand out stale core ids. The
-  // solve-identity history goes with it: the next solve must be structural.
-  solve_ws_.invalidate();
-  last_grant_ids_.clear();
-  last_solve_ids_.clear();
+  // A fresh core: the cached instance and λ trajectory were computed
+  // against the old capacities. The next solve is structural, and every
+  // client is granted anew.
+  core_ = DecisionCore(std::move(budget_hw), options_.solver, options_.tracer, options_.metrics);
+  core_.set_parallelism(solve_pool_.get());
+  grants_.forget();
   needs_realloc_ = true;
 }
 
 std::vector<double> RmServer::last_multipliers() const {
   MutexLock lock(mutex_);
-  return solve_ws_.multipliers();
+  return core_.multipliers();
 }
 
 void RmServer::reallocate() {
   needs_realloc_ = false;
   ++realloc_count_;
   if (reallocs_counter_ != nullptr) reallocs_counter_->inc();
-  std::vector<Client*>& registered = registered_scratch_;
-  registered.clear();
-  for (const auto& client : clients_)
-    if (client->registered) registered.push_back(client.get());
-  if (registered.empty()) return;
+  begin_cycle_locked();
+  if (cycle_clients_.empty()) return;
 
   telemetry::Tracer* tracer = options_.tracer;
   if (tracer != nullptr)
     tracer->begin(telemetry::EventType::kAllocCycle, "rm",
-                  {{"apps", static_cast<double>(registered.size())},
+                  {{"apps", static_cast<double>(cycle_clients_.size())},
                    {"cycle", static_cast<double>(realloc_count_)}});
-
-  // Refresh only the groups whose operating-point table changed since the
-  // cached build (per-client dirty bit = stored table version); the rebuilt
-  // positions, ascending by construction, become the solver's dirty set.
-  dirty_scratch_.clear();
-  for (std::size_t g = 0; g < registered.size(); ++g)
-    if (refresh_group_locked(*registered[g]))
-      dirty_scratch_.push_back(static_cast<std::uint32_t>(g));
-  group_ptrs_.resize(registered.size());
-  for (std::size_t g = 0; g < registered.size(); ++g) group_ptrs_[g] = &registered[g]->group;
-
-  // The dirty-subset contract additionally requires structural sameness:
-  // the same clients, in the same positions, as the instance the workspace
-  // state was built from. Positional app_id equality certifies exactly that
-  // (arrivals, departures, and reorderings all change the sequence).
-  bool same_structure = last_solve_ids_.size() == registered.size();
-  for (std::size_t g = 0; same_structure && g < registered.size(); ++g)
-    if (last_solve_ids_[g] != registered[g]->app_id) same_structure = false;
-  last_solve_ids_.resize(registered.size());
-  for (std::size_t g = 0; g < registered.size(); ++g)
-    last_solve_ids_[g] = registered[g]->app_id;
-
-  if (solve_histogram_ != nullptr) {
-    auto t0 = std::chrono::steady_clock::now();
-    allocator_.solve(group_ptrs_, dirty_scratch_, !same_structure, solve_ws_, solve_result_);
+  auto t0 = std::chrono::steady_clock::now();
+  const AllocationResult& result = core_.solve();
+  if (solve_histogram_ != nullptr)
     solve_histogram_->observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-  } else {
-    allocator_.solve(group_ptrs_, dirty_scratch_, !same_structure, solve_ws_, solve_result_);
-  }
-  if (solve_ws_.replayed() && solve_replays_counter_ != nullptr) solve_replays_counter_->inc();
-  if (solve_ws_.last_mode() == SolveMode::kIncremental && solve_incremental_counter_ != nullptr)
-    solve_incremental_counter_->inc();
-  if (groups_rescanned_counter_ != nullptr)
-    groups_rescanned_counter_->inc(
-        static_cast<std::uint64_t>(solve_ws_.last_rescanned_groups()));
-  AllocationResult& result = solve_result_;
 
-  // Skip-cycle: the solver replayed a byte-identical instance, so every
-  // surviving client would receive exactly the activation it already holds —
-  // but only if the granted set is the same clients. A new or re-registered
-  // app_id has never received this cycle's grant and must be sent one.
-  bool same_clients = last_grant_ids_.size() == registered.size();
-  for (std::size_t g = 0; same_clients && g < registered.size(); ++g)
-    if (last_grant_ids_[g] != registered[g]->app_id) same_clients = false;
-  if (solve_ws_.replayed() && same_clients) {
+  // Skip-cycle: every client already holds exactly this activation.
+  if (grants_.unchanged(core_.replayed(), core_.ids())) {
     if (realloc_skips_counter_ != nullptr) realloc_skips_counter_->inc();
     if (tracer != nullptr)
       tracer->end(telemetry::EventType::kAllocCycle, "rm",
                   {{"feasible", result.feasible ? 1.0 : 0.0}, {"skipped", 1.0}});
     return;
   }
-  last_grant_ids_.resize(registered.size());
-  for (std::size_t g = 0; g < registered.size(); ++g)
-    last_grant_ids_[g] = registered[g]->app_id;
 
   if (!result.feasible) {
     // Co-allocation fallback (§4.2.2): every app gets the whole machine and
     // the OS scheduler time-shares.
     HARP_WARN << "demand exceeds capacity; falling back to co-allocation";
-    for (Client* client : registered) send_coallocation_locked(*client);
+    for (std::size_t index : cycle_clients_) send_coallocation_locked(*clients_[index]);
     if (tracer != nullptr)
       tracer->end(telemetry::EventType::kAllocCycle, "rm", {{"feasible", 0.0}});
     return;
   }
 
-  for (std::size_t g = 0; g < registered.size(); ++g) {
-    Client* client = registered[g];
-    const OperatingPoint& point = client->group.candidates[result.selection[g]];
-    send_activation_locked(*client, point, result.allocations[g],
-                           client->group.costs[result.selection[g]]);
+  for (std::size_t g = 0; g < cycle_clients_.size(); ++g) {
+    const AllocationGroup& group = core_.group(g);
+    send_activation_locked(*clients_[cycle_clients_[g]], group.candidates[result.selection[g]],
+                           result.allocations[g], group.costs[result.selection[g]]);
   }
   if (tracer != nullptr)
     tracer->end(telemetry::EventType::kAllocCycle, "rm",

@@ -12,8 +12,7 @@
 // ipc::EventLoop owns every client fd, so a poll() cycle drains only the
 // clients with work instead of issuing one recv(2) per connected client.
 // In-process channels participate through ready hooks that set a per-client
-// atomic flag and nudge the loop's wakeup pipe. If event-loop construction
-// fails (fd exhaustion) the server degrades to the legacy scan-all cycle.
+// atomic flag and nudge the loop's wakeup pipe.
 //
 // For multi-RM scale-out the server also exposes a sharding surface
 // (export_groups / push_activation / set_core_budget): a ShardedRmServer
@@ -21,10 +20,11 @@
 // solves globally across them (result-neutral to a single server) or gives
 // each shard a disjoint core budget and rebalances on λ drift.
 //
-// Unlike HarpPolicy (the simulator-embedded RM used in the evaluation
-// benches), RmServer manages real client processes; it has no telemetry of
-// its own, so applications without description files receive a fair-share
-// allocation until they submit points or report utility.
+// The decision is the DecisionCore (decision_core.hpp) that HarpPolicy
+// drives too. RmServer senses neither power nor utility (its Tracer and
+// MetricsRegistry record only its own decisions), so applications without
+// description files receive a fair-share allocation until they submit
+// points or report utility.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "src/common/mutex.hpp"
-#include "src/harp/allocator.hpp"
+#include "src/harp/decision_core.hpp"
 #include "src/harp/operating_point.hpp"
 #include "src/ipc/event_loop.hpp"
 #include "src/ipc/transport.hpp"
@@ -55,10 +55,6 @@ struct RmServerOptions {
   /// Consecutive malformed ("proto:") frames tolerated per client before the
   /// connection is cut; a valid frame resets the count.
   int max_malformed_frames = 8;
-  /// Readiness-driven I/O (the default). Off = the legacy scan-all cycle
-  /// that polls every client channel every cycle; kept for comparison
-  /// benches and as the degraded mode when fds run out.
-  bool use_event_loop = true;
   /// When true, poll() never runs the MMKP itself: it drains I/O and leaves
   /// the realloc flag set for an external coordinator that solves globally
   /// via export_groups() / push_activation() (ShardedRmServer with
@@ -117,13 +113,12 @@ class RmServer {
   void poll(double now_seconds);
 
   /// Blocking variant for dedicated shard threads: waits up to `timeout_ms`
-  /// (-1 = indefinitely) for readiness before running the cycle. Without an
-  /// event loop the timeout is ignored and the call degenerates to poll().
-  /// Returns immediately when wakeup() or readiness arrives.
+  /// (-1 = indefinitely) for readiness before running the cycle. Returns
+  /// immediately when wakeup() or readiness arrives.
   void poll(double now_seconds, int timeout_ms);
 
   /// Nudge a poll(now, timeout) blocked on the event loop (cross-thread
-  /// adoption, shutdown). No-op without an event loop. Thread-safe.
+  /// adoption, shutdown). Thread-safe.
   void wakeup();
 
   // Sharding surface (used by ShardedRmServer; see rm_shard.hpp). ------
@@ -179,13 +174,9 @@ class RmServer {
   /// Clients evicted for lease expiry since construction.
   std::uint64_t lease_evictions() const;
 
-  /// The readiness backend actually in use; nullopt in legacy scan mode.
-  std::optional<ipc::EventLoop::Backend> loop_backend() const;
-
  private:
   struct Client;
 
-  void poll_impl(double now_seconds, int timeout_ms);
   void accept_pending_locked() HARP_REQUIRES(mutex_);
   void process_cycle_locked(double now_seconds) HARP_REQUIRES(mutex_);
   void adopt_channel_locked(std::unique_ptr<ipc::Channel> channel, std::uint64_t admission)
@@ -194,32 +185,31 @@ class RmServer {
   void handle_registration(Client& client, const ipc::RegisterRequest& request)
       HARP_REQUIRES(mutex_);
   void drop_client(std::size_t index) HARP_REQUIRES(mutex_);
+  /// Start the core's cycle over the registered clients (cycle_clients_).
+  void begin_cycle_locked() HARP_REQUIRES(mutex_);
   void reallocate() HARP_REQUIRES(mutex_);
-  /// Returns true when the group was rebuilt (operating-point table changed
-  /// since the cached build) — the reallocation cycle's dirty signal.
-  bool refresh_group_locked(Client& client) HARP_REQUIRES(mutex_);
   void send_activation_locked(Client& client, const OperatingPoint& point,
                               const platform::CoreAllocation& cores, double cost)
       HARP_REQUIRES(mutex_);
   void send_coallocation_locked(Client& client) HARP_REQUIRES(mutex_);
-  AllocationGroup build_group(const Client& client) const HARP_REQUIRES(mutex_);
 
-  /// Readiness loop; created at construction, immutable after (null = legacy
-  /// scan mode). Shared so in-process ready hooks can hold a weak_ptr for
-  /// their wakeup nudge without dangling after destruction. Declared before
-  /// clients_ so it outlives every hook-owning channel during teardown.
-  std::shared_ptr<ipc::EventLoop> loop_;  // harp-lint: allow(all immutable after construction)
+  /// Readiness loop; created at construction, immutable after. Shared so
+  /// in-process ready hooks can hold a weak_ptr for their wakeup nudge
+  /// without dangling after destruction. Declared before clients_ so it
+  /// outlives every hook-owning channel during teardown.
+  const std::shared_ptr<ipc::EventLoop> loop_;
   /// wait() output, reused across cycles; touched only by the poll thread.
   std::vector<ipc::EventLoop::Ready> ready_scratch_;  // harp-lint: allow(all poll-thread-only)
 
   /// Guards all server state: poll() holds it for a full event-loop
-  /// iteration; accessors take it briefly. hw_/options_/allocator_ are
-  /// written only at construction but are kept under the same lock so the
-  /// invariant stays one sentence long.
+  /// iteration; accessors take it briefly. hw_/options_ are written only at
+  /// construction but are kept under the same lock so the invariant stays
+  /// one sentence long.
   mutable Mutex mutex_;
   platform::HardwareDescription hw_ HARP_GUARDED_BY(mutex_);
   RmServerOptions options_ HARP_GUARDED_BY(mutex_);
-  Allocator allocator_ HARP_GUARDED_BY(mutex_);
+  /// The decision core: cached-group refresh, incremental solve, λ.
+  DecisionCore core_ HARP_GUARDED_BY(mutex_);
   std::unique_ptr<ipc::UnixServer> server_ HARP_GUARDED_BY(mutex_);
   std::vector<std::unique_ptr<Client>> clients_ HARP_GUARDED_BY(mutex_);
   /// fd → client, for routing readiness events (fd-backed channels only).
@@ -238,25 +228,10 @@ class RmServer {
   double last_utility_poll_ HARP_GUARDED_BY(mutex_) = 0.0;
   std::uint64_t realloc_count_ HARP_GUARDED_BY(mutex_) = 0;
   std::uint64_t lease_evictions_ HARP_GUARDED_BY(mutex_) = 0;
-  /// Hot-path state reused across reallocation cycles: solver workspace
-  /// (replay cache + scratch), last result, and the pointer/scratch vectors
-  /// that would otherwise be rebuilt per cycle.
-  SolveWorkspace solve_ws_ HARP_GUARDED_BY(mutex_);
-  AllocationResult solve_result_ HARP_GUARDED_BY(mutex_);
-  std::vector<const AllocationGroup*> group_ptrs_ HARP_GUARDED_BY(mutex_);
-  std::vector<Client*> registered_scratch_ HARP_GUARDED_BY(mutex_);
-  /// app_ids granted in the last cycle that actually sent activations; a
-  /// solver replay may skip resending only when this exact set is registered
-  /// again (a new/re-registered client must receive its activation even if
-  /// the solved instance is byte-identical).
-  std::vector<std::int32_t> last_grant_ids_ HARP_GUARDED_BY(mutex_);
-  /// app_ids (in group order) of the last instance actually handed to the
-  /// solver. The dirty-subset contract needs structural sameness — same
-  /// groups, same order — which positional app_id equality certifies; any
-  /// mismatch downgrades the solve to structure_changed.
-  std::vector<std::int32_t> last_solve_ids_ HARP_GUARDED_BY(mutex_);
-  /// Ascending indices of groups rebuilt this cycle (the solver's dirty set).
-  std::vector<std::uint32_t> dirty_scratch_ HARP_GUARDED_BY(mutex_);
+  /// clients_ indices of the core's current cycle, in group order.
+  std::vector<std::size_t> cycle_clients_ HARP_GUARDED_BY(mutex_);
+  /// app_ids of the last cycle that actually sent activations (skip test).
+  GrantMemo grants_ HARP_GUARDED_BY(mutex_);
   /// Solver worker pool (null when options.solver_workers == 1). Created at
   /// construction, attached to every Allocator this server builds.
   std::unique_ptr<harp::ParallelFor> solve_pool_;  // harp-lint: allow(all immutable after construction)
@@ -266,11 +241,6 @@ class RmServer {
   telemetry::Counter* registrations_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* evictions_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* malformed_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* group_rebuilds_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* group_cache_hits_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* solve_replays_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* solve_incremental_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* groups_rescanned_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* realloc_skips_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* eventloop_cycles_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* eventloop_ready_counter_ HARP_GUARDED_BY(mutex_) = nullptr;

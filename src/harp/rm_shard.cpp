@@ -159,7 +159,11 @@ void ShardedRmServer::coordinate_global_solve() {
             [](const auto& a, const auto& b) { return a.second.admission < b.second.admission; });
 
   group_ptrs_.resize(merged_.size());
-  for (std::size_t g = 0; g < merged_.size(); ++g) group_ptrs_[g] = merged_[g].second.group;
+  admissions_.resize(merged_.size());
+  for (std::size_t g = 0; g < merged_.size(); ++g) {
+    group_ptrs_[g] = merged_[g].second.group;
+    admissions_[g] = merged_[g].second.admission;
+  }
 
   telemetry::Tracer* tracer = options_.server.tracer;
   if (tracer != nullptr)
@@ -170,19 +174,12 @@ void ShardedRmServer::coordinate_global_solve() {
   coordinator_allocator_.solve(group_ptrs_, coordinator_ws_, coordinator_result_);
   ++coordinator_solves_;
 
-  // Mirror the single server's skip-cycle: a replayed instance over the
-  // exact same admission set means every client already holds this grant.
-  bool same_clients = last_solved_admissions_.size() == merged_.size();
-  for (std::size_t g = 0; same_clients && g < merged_.size(); ++g)
-    if (last_solved_admissions_[g] != merged_[g].second.admission) same_clients = false;
-  if (coordinator_ws_.replayed() && same_clients) {
+  // The single server's skip test, keyed on admissions.
+  if (grants_.unchanged(coordinator_ws_.replayed(), admissions_)) {
     if (tracer != nullptr)
       tracer->end(telemetry::EventType::kAllocCycle, "coordinator", {{"skipped", 1.0}});
     return;
   }
-  last_solved_admissions_.resize(merged_.size());
-  for (std::size_t g = 0; g < merged_.size(); ++g)
-    last_solved_admissions_[g] = merged_[g].second.admission;
 
   if (!coordinator_result_.feasible) {
     for (const auto& [shard, e] : merged_)

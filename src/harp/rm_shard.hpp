@@ -134,14 +134,15 @@ class ShardedRmServer {
   /// the threshold (hysteresis counters, one per type).
   std::vector<int> drift_rounds_ HARP_GUARDED_BY(mutex_);
   /// Scratch reused across coordination rounds (merge buffers, solver
-  /// workspace/result, admission list mirroring the skip-cycle check).
+  /// workspace/result, the instance's admissions) and the skip test.
   Allocator coordinator_allocator_ HARP_GUARDED_BY(mutex_);
   SolveWorkspace coordinator_ws_ HARP_GUARDED_BY(mutex_);
   AllocationResult coordinator_result_ HARP_GUARDED_BY(mutex_);
   std::vector<ExportedGroup> export_scratch_ HARP_GUARDED_BY(mutex_);
   std::vector<std::pair<int, ExportedGroup>> merged_ HARP_GUARDED_BY(mutex_);
   std::vector<const AllocationGroup*> group_ptrs_ HARP_GUARDED_BY(mutex_);
-  std::vector<std::uint64_t> last_solved_admissions_ HARP_GUARDED_BY(mutex_);
+  std::vector<std::uint64_t> admissions_ HARP_GUARDED_BY(mutex_);
+  GrantMemo grants_ HARP_GUARDED_BY(mutex_);
   std::vector<std::vector<double>> lambda_scratch_ HARP_GUARDED_BY(mutex_);
 
   /// Shard threads (kLambdaDrift). stop flag is the only cross-thread

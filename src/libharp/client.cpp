@@ -208,6 +208,10 @@ Status HarpClient::poll_locked(double now_seconds, DeferredWork& deferred) {
     if (!handled.ok()) return handled;
   }
 
+  // Frames queued by a transient send failure go out as soon as the link
+  // takes them again, not at the next re-registration.
+  flush_pending(now_seconds);
+
   // The RegisterRequest or its ack can be lost on a flaky link; registration
   // is idempotent server-side, so retransmit on a timer until acknowledged.
   if (state_ == LinkState::kRegistering && config_.register_retry_s > 0.0 &&
@@ -290,11 +294,17 @@ Status HarpClient::submit_operating_points(
 }
 
 Status HarpClient::transmit(const ipc::Message& message, bool droppable, double now_seconds) {
+  // Queued frames go first: a new frame never overtakes them.
+  flush_pending(now_seconds);
   if (state_ == LinkState::kClosed)
     return Status(make_error("io: client closed"));
   if (state_ == LinkState::kDisconnected) {
     enqueue(message, droppable);
     return factory_ ? Status{} : Status(make_error("io: link down and no reconnect factory"));
+  }
+  if (!pending_.empty()) {
+    enqueue(message, droppable);
+    return Status{};
   }
   // harp-lint: allow(r12 channel sends are nonblocking: transient errors enqueue and retry, never wait)
   Status sent = channel_->send(message);

@@ -232,8 +232,9 @@ class HarpClient {
   Status handle(const ipc::Message& message, double now_seconds, DeferredWork& deferred)
       HARP_REQUIRES(mutex_);
   void on_registered(double now_seconds) HARP_REQUIRES(mutex_);
-  /// Send now if the link is up, otherwise buffer (bounded). Returns an
-  /// error only when the message can never be delivered (no factory).
+  /// Send now if the link is up and nothing is queued ahead, otherwise
+  /// buffer (bounded). Returns an error only when the message can never be
+  /// delivered (no factory).
   Status transmit(const ipc::Message& message, bool droppable, double now_seconds)
       HARP_REQUIRES(mutex_);
   void enqueue(ipc::Message message, bool droppable) HARP_REQUIRES(mutex_);

@@ -7,13 +7,22 @@
 // are parameterized over fault-plan seeds, so each timeline is exercised
 // under several distinct (but reproducible) fault interleavings.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "src/ipc/transport_hooks.hpp"
 #include "src/platform/hardware.hpp"
 #include "src/telemetry/export.hpp"
 #include "tests/scenario_harness.hpp"
@@ -340,6 +349,163 @@ TEST(RmServerSupersede, ZombieExcludedFromSameCycleReallocation) {
   rm.poll(2.0);  // the closed zombie connection is reaped next cycle
   EXPECT_EQ(rm.client_count(), 1u);
 }
+
+// Regression — a frame queued by a transient send failure while connected
+// waited for the next re-registration, and a newer frame overtook it. It
+// must go out on the next poll, and ahead of anything sent after it.
+TEST(LibharpSendQueue, TransientFailureFlushesInOrder) {
+  platform::HardwareDescription hw = platform::raptor_lake();
+  auto [rm_end, app_end] = ipc::make_in_process_pair();
+  FaultPlan plan;  // script-only: send 0 is the RegisterRequest
+  plan.script = {{1, FaultKind::kTransientError}, {4, FaultKind::kTransientError}};
+  client::Config config = app_config("queued", 5, 5);
+  config.heartbeat_interval_s = 0.0;
+  auto made = HarpClient::deferred(
+      std::make_unique<ipc::FaultInjectingChannel>(std::move(app_end), plan), config);
+  ASSERT_TRUE(made.ok()) << made.error().message;
+  std::unique_ptr<HarpClient> app = std::move(made).take();
+  ASSERT_TRUE(rm_end->send(ipc::Message(ipc::RegisterAck{1})).ok());
+  ASSERT_TRUE(app->poll(0.0).ok());
+  ASSERT_TRUE(app->registered());
+  (void)drain(*rm_end);
+
+  auto submit = [&](double utility) {
+    return app->submit_operating_points(
+        {{platform::ExtendedResourceVector::from_threads(hw, {2, 0}), utility, 1.0}});
+  };
+  auto delivered = [&] {
+    std::vector<double> utilities;
+    for (const ipc::Message& m : drain(*rm_end))
+      if (const auto* points = std::get_if<ipc::OperatingPointsMsg>(&m))
+        utilities.push_back(points->points.front().utility);
+    return utilities;
+  };
+
+  ASSERT_TRUE(submit(1.0).ok());  // send 1 fails transiently: queued
+  ASSERT_TRUE(submit(2.0).ok());
+  EXPECT_EQ(delivered(), (std::vector<double>{1.0, 2.0}));
+
+  ASSERT_TRUE(submit(3.0).ok());  // send 4 fails transiently: queued
+  EXPECT_TRUE(delivered().empty());
+  ASSERT_TRUE(app->poll(0.1).ok());
+  EXPECT_EQ(delivered(), (std::vector<double>{3.0}));
+  EXPECT_EQ(app->reconnect_count(), 0);
+}
+
+/// Lets the first `g_sends_before_failure` send(2) calls through, then fails
+/// the rest as a dead peer would, remembering the fd.
+int g_sends_before_failure = 0;
+int g_failed_send_fd = -1;
+ssize_t send_then_fail(int fd, const void* buf, size_t len, int flags) {
+  if (g_sends_before_failure-- > 0) return ::send(fd, buf, len, flags);
+  g_failed_send_fd = fd;
+  errno = EPIPE;
+  return -1;
+}
+
+/// Caps RLIMIT_NOFILE for its lifetime so that an EventLoop built meanwhile
+/// gets its wakeup pipe (the two lowest free fds) but no epoll fd, and falls
+/// back to the poll(2) backend.
+class PollBackendCap {
+ public:
+  PollBackendCap() {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    int lowest_free[3];
+    for (int& fd : lowest_free) fd = ::open("/dev/null", O_RDONLY);
+    for (int fd : lowest_free) ::close(fd);
+    rlimit capped = saved_;
+    capped.rlim_cur = static_cast<rlim_t>(lowest_free[2]);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  }
+  ~PollBackendCap() { (void)::setrlimit(RLIMIT_NOFILE, &saved_); }
+  PollBackendCap(const PollBackendCap&) = delete;
+  PollBackendCap& operator=(const PollBackendCap&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+std::unique_ptr<core::RmServer> server_on(ipc::EventLoop::Backend backend,
+                                          const platform::HardwareDescription& hw) {
+  if (backend != ipc::EventLoop::Backend::kPoll) return std::make_unique<core::RmServer>(hw);
+  PollBackendCap cap;
+  EXPECT_EQ(ipc::EventLoop().backend(), ipc::EventLoop::Backend::kPoll);
+  return std::make_unique<core::RmServer>(hw);
+}
+
+class RmFdReuse : public ::testing::TestWithParam<ipc::EventLoop::Backend> {};
+
+// Regression — a failed grant send closes the client's fd, but the record
+// stayed mapped until the next cycle. A client accepted onto the recycled fd
+// number first went unwatched (the loop saw a known fd), then lost its
+// mapping when the dead record was dropped: its later frames were never
+// read.
+TEST_P(RmFdReuse, ClientOnRecycledFdKeepsReceiving) {
+  const bool poll_backend = GetParam() == ipc::EventLoop::Backend::kPoll;
+  std::string path =
+      ::testing::TempDir() + (poll_backend ? "/harp_fd_reuse_poll.sock" : "/harp_fd_reuse.sock");
+  platform::HardwareDescription hw = platform::odroid_xu3e();
+  std::unique_ptr<core::RmServer> rm = server_on(GetParam(), hw);
+  ASSERT_TRUE(rm->listen(path).ok());
+
+  // B's socket predates A's accepted fd, so once that fd is freed it is the
+  // lowest free number and the RM's next accept recycles it.
+  int b_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(b_fd, 0);
+  auto a = ipc::unix_connect(path);
+  ASSERT_TRUE(a.ok()) << a.error().message;
+  ASSERT_TRUE(a.value()
+                  ->send(ipc::Message(ipc::RegisterRequest{
+                      1, "a", ipc::WireAdaptivity::kScalable, false}))
+                  .ok());
+  g_sends_before_failure = 1;
+  g_failed_send_fd = -1;
+  {
+    ipc::SyscallHooks saved = ipc::syscall_hooks();
+    ipc::syscall_hooks().send = send_then_fail;
+    rm->poll(0.0);  // accepts and acks A; the grant send fails and closes the fd
+    ipc::syscall_hooks() = saved;
+  }
+  ASSERT_GE(g_failed_send_fd, 0);
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(b_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::unique_ptr<ipc::Channel> b = ipc::channel_from_fd(b_fd);
+  const auto big = platform::ExtendedResourceVector::from_threads(hw, {4, 0});
+  const auto little = platform::ExtendedResourceVector::from_threads(hw, {0, 4});
+  ASSERT_TRUE(b->send(ipc::Message(ipc::RegisterRequest{
+                          2, "b", ipc::WireAdaptivity::kScalable, false}))
+                  .ok());
+  ipc::OperatingPointsMsg initial;
+  initial.points = {{big, 10.0, 5.0}};
+  ASSERT_TRUE(b->send(ipc::Message(initial)).ok());
+  rm->poll(0.1);  // accepts B onto A's old fd number
+  ASSERT_NE(::fcntl(g_failed_send_fd, F_GETFD), -1) << "B did not recycle A's fd";
+  auto granted = [&] {
+    std::optional<core::OperatingPoint> point = rm->current_point("b");
+    return point.has_value() ? point->erv.to_string(hw) : std::string("none");
+  };
+  ASSERT_EQ(granted(), big.to_string(hw));
+
+  ipc::OperatingPointsMsg update;
+  update.points = {{little, 100.0, 1.0}};
+  ASSERT_TRUE(b->send(ipc::Message(update)).ok());
+  rm->poll(0.2);
+  rm->poll(0.3);
+  EXPECT_EQ(rm->client_count(), 1u);
+  EXPECT_EQ(granted(), little.to_string(hw));
+}
+
+std::string backend_name(const ::testing::TestParamInfo<ipc::EventLoop::Backend>& info) {
+  return info.param == ipc::EventLoop::Backend::kPoll ? "poll" : "epoll";
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, RmFdReuse,
+                         ::testing::Values(ipc::EventLoop::Backend::kEpoll,
+                                           ipc::EventLoop::Backend::kPoll),
+                         backend_name);
 
 // ---------------------------------------------------------------------------
 // Telemetry over fault scenarios

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "src/common/check.hpp"
 #include "src/common/rng.hpp"
 #include "src/energy/attribution.hpp"
 #include "src/harp/allocator.hpp"
@@ -20,9 +22,19 @@ namespace {
 // DSE table invariants for every application of both catalogs.
 // ---------------------------------------------------------------------------
 
+// gtest prints a parameter without operator<< as its raw bytes, and CTest
+// discovery puts that print into each test's name. The names are kept inline
+// (no heap pointers) so every build prints, and names, the cases the same way.
 struct DseCase {
-  std::string platform;
-  std::string app;
+  char platform[8];
+  char app[56];
+
+  DseCase(const std::string& platform_name, const std::string& app_name) : platform{}, app{} {
+    HARP_CHECK(platform_name.size() < sizeof(platform) && app_name.size() < sizeof(app));
+    platform_name.copy(platform, platform_name.size());
+    app_name.copy(app, app_name.size());
+  }
+  bool on_raptor() const { return std::string(platform) == "raptor"; }
 };
 
 std::vector<DseCase> all_dse_cases() {
@@ -39,8 +51,8 @@ class DseTableProperty : public ::testing::TestWithParam<DseCase> {};
 TEST_P(DseTableProperty, TablesAreWellFormed) {
   const DseCase& c = GetParam();
   platform::HardwareDescription hw =
-      c.platform == "raptor" ? platform::raptor_lake() : platform::odroid_xu3e();
-  model::WorkloadCatalog catalog = c.platform == "raptor"
+      c.on_raptor() ? platform::raptor_lake() : platform::odroid_xu3e();
+  model::WorkloadCatalog catalog = c.on_raptor()
                                        ? model::WorkloadCatalog::raptor_lake()
                                        : model::WorkloadCatalog::odroid();
   core::OperatingPointTable table = core::run_offline_dse(catalog.app(c.app), hw);
@@ -66,8 +78,8 @@ TEST_P(DseTableProperty, TablesAreWellFormed) {
 
 INSTANTIATE_TEST_SUITE_P(AllApps, DseTableProperty, ::testing::ValuesIn(all_dse_cases()),
                          [](const ::testing::TestParamInfo<DseCase>& info) {
-                           std::string name =
-                               info.param.platform + "_" + info.param.app;
+                           std::string name = std::string(info.param.platform) + "_" +
+                                              std::string(info.param.app);
                            for (char& ch : name)
                              if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
                            return name;

@@ -1,16 +1,17 @@
 // harpd — the HARP resource-manager daemon (§4.3, Fig. 4).
 //
 // A user-space system service, in the spirit of systemd/launchd: it loads
-// the hardware description and any application profiles from a /etc/harp-
-// style configuration directory, listens on a Unix socket for libharp
-// registrations, and manages the registered applications' resources.
+// the hardware description from a /etc/harp-style configuration directory,
+// listens on a Unix socket for libharp registrations, and manages the
+// registered applications' resources.
 //
 // Usage:
 //   harpd --config <dir> [--socket <path>] [--verbose]
 //   harpd --hardware raptor-lake|odroid-xu3e [--socket <path>]
 //
-// With --config, profiles in <dir>/apps/*.json pre-seed the clients'
-// operating-point tables when they register under a matching name.
+// With --config, only <dir>/hardware.json is read; application profiles
+// reach the RM from the clients themselves, which submit their operating
+// points after registering.
 #include <csignal>
 #include <cstdio>
 #include <cstring>
