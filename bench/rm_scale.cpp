@@ -1,22 +1,19 @@
-// RM transport scale-out (DESIGN.md "Event loop & sharding"): how the
-// per-cycle cost of the RM control loop scales with the connected-client
-// population, and what the readiness event loop and sharding buy.
+// RM transport scale (DESIGN.md "Event loop"): how the per-cycle cost of
+// the RM control loop scales with the connected-client population under the
+// readiness event loop.
 //
-// Two measurements:
+// Two measurements, both against one RmServer:
 //
 //  - cycle: a mostly-idle population (the realistic regime — managed
 //    applications mostly compute and occasionally heartbeat). Per cycle a
 //    small active set sends one heartbeat each; the bench times rm.poll()
-//    and reports p50/p99 for one event-loop server and, in process, for 4
-//    coordinated shards. In-process (100k clients full, 10k --quick)
+//    and reports p50/p99. In-process (100k clients full, 10k --quick)
 //    isolates the cycle bookkeeping, real AF_UNIX sockets (10k full, 1k
 //    --quick) add the kernel.
 //
 //  - roundtrip: 64 registered apps resubmit operating points under a large
 //    idle population; the bench times burst → every app holds its fresh
-//    activation. A single event-loop server vs 4 threaded λ-drift shards
-//    (each solving its own sub-budget) gives the sharded-vs-single speedup
-//    quoted in EXPERIMENTS.md.
+//    activation.
 //
 // Writes BENCH_rm_scale.json (schema: bench_json.hpp).
 #include <sys/resource.h>
@@ -25,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,7 +30,6 @@
 
 #include "bench/bench_json.hpp"
 #include "src/harp/rm_server.hpp"
-#include "src/harp/rm_shard.hpp"
 #include "src/ipc/transport.hpp"
 #include "src/platform/hardware.hpp"
 
@@ -79,14 +74,13 @@ struct CycleStats {
 };
 
 /// Sends one heartbeat from every active (registered) app end, then runs one
-/// server cycle via `poll_once` and times it. The bulk population stays
-/// silent: heartbeats from unregistered clients are a protocol violation
-/// (the RM drops the client), and registering the bulk would stage a
-/// fair-share MMKP over the whole population — allocator scale is
-/// allocator_scale's bench, not this one.
-template <typename PollFn>
-CycleStats run_cycles(std::vector<std::unique_ptr<ipc::Channel>>& active_ends, int cycles,
-                      PollFn poll_once) {
+/// server cycle and times it. The bulk population stays silent: heartbeats
+/// from unregistered clients are a protocol violation (the RM drops the
+/// client), and registering the bulk would stage a fair-share MMKP over the
+/// whole population — allocator scale is allocator_scale's bench, not this
+/// one.
+CycleStats run_cycles(core::RmServer& rm, std::vector<std::unique_ptr<ipc::Channel>>& active_ends,
+                      int cycles) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(cycles));
   double now = 1.0;
@@ -94,61 +88,59 @@ CycleStats run_cycles(std::vector<std::unique_ptr<ipc::Channel>>& active_ends, i
     for (const auto& end : active_ends) (void)end->send(ipc::Message(ipc::Heartbeat{}));
     now += 0.01;
     auto t0 = std::chrono::steady_clock::now();
-    poll_once(now);
+    rm.poll(now);
     samples.push_back(seconds_since(t0));
   }
   return CycleStats{percentile(samples, 0.50), percentile(samples, 0.99)};
 }
 
-json::Object cycle_row(const char* transport, const char* server, int clients, int active,
-                       int cycles, const CycleStats& stats) {
+/// Prints one event-loop cycle measurement and appends its JSON row.
+void report_cycle(json::Array& rows, const char* transport, int clients, int active, int cycles,
+                  const CycleStats& stats) {
+  std::printf("%-8s %-12s %8d %14.1f %14.1f\n", transport, "event_loop", clients,
+              stats.p50 * 1e6, stats.p99 * 1e6);
+  std::fflush(stdout);
   json::Object row;
   row["mode"] = json::Value("cycle");
   row["transport"] = json::Value(transport);
-  row["server"] = json::Value(server);
+  row["server"] = json::Value("event_loop");
   row["clients"] = json::Value(clients);
   row["active_per_cycle"] = json::Value(active);
   row["cycles"] = json::Value(cycles);
   row["p50_cycle_seconds"] = json::Value(stats.p50);
   row["p99_cycle_seconds"] = json::Value(stats.p99);
-  return row;
+  rows.push_back(json::Value(std::move(row)));
 }
 
-void print_cycle(const char* transport, const char* server, int clients,
-                 const CycleStats& stats) {
-  std::printf("%-8s %-12s %8d %14.1f %14.1f\n", transport, server, clients, stats.p50 * 1e6,
-              stats.p99 * 1e6);
-  std::fflush(stdout);
-}
-
-ipc::RegisterRequest active_registration(int index) {
+ipc::RegisterRequest registration(int index) {
   ipc::RegisterRequest reg;
   reg.pid = 100000 + index;
-  reg.app_name = "hb_" + std::to_string(index);
+  reg.app_name = "app_" + std::to_string(index);
   return reg;
 }
 
-/// In-process cycle benchmark against one RmServer or a sharded
-/// coordinator, chosen by the poll functor: `clients` silent unregistered
-/// channels plus `active` registered heartbeaters.
-template <typename MakeServer>
-CycleStats inproc_cycle_bench(int clients, int active, int cycles, MakeServer make_server) {
-  auto [adopt, poll_once] = make_server();
+/// Adopts `count` in-process clients into `rm` and keeps their app ends in
+/// `ends` (closing one would make the next cycle drop its client). With
+/// `registered`, each client's registration is queued before adoption.
+void adopt_clients(core::RmServer& rm, std::vector<std::unique_ptr<ipc::Channel>>& ends,
+                   int count, bool registered) {
+  ends.reserve(ends.size() + static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    auto [rm_end, app_end] = ipc::make_in_process_pair();
+    if (registered) (void)app_end->send(ipc::Message(registration(i)));
+    rm.adopt_channel(std::move(rm_end));
+    ends.push_back(std::move(app_end));
+  }
+}
+
+/// In-process cycle benchmark: `clients` silent unregistered channels plus
+/// `active` registered heartbeaters, all adopted by `rm`.
+CycleStats inproc_cycle_bench(core::RmServer& rm, int clients, int active, int cycles) {
   std::vector<std::unique_ptr<ipc::Channel>> bulk_ends, active_ends;
-  bulk_ends.reserve(static_cast<std::size_t>(clients));
-  for (int i = 0; i < clients; ++i) {
-    auto [rm_end, app_end] = ipc::make_in_process_pair();
-    adopt(std::move(rm_end));
-    bulk_ends.push_back(std::move(app_end));
-  }
-  for (int i = 0; i < active; ++i) {
-    auto [rm_end, app_end] = ipc::make_in_process_pair();
-    (void)app_end->send(ipc::Message(active_registration(i)));
-    adopt(std::move(rm_end));
-    active_ends.push_back(std::move(app_end));
-  }
-  poll_once(0.5);  // settle: registrations, lease clocks, one fair-share solve
-  return run_cycles(active_ends, cycles, poll_once);
+  adopt_clients(rm, bulk_ends, clients, false);
+  adopt_clients(rm, active_ends, active, true);
+  rm.poll(0.5);  // settle: registrations, lease clocks, one fair-share solve
+  return run_cycles(rm, active_ends, cycles);
 }
 
 /// Socket-transport cycle benchmark: `clients` real AF_UNIX connections into
@@ -182,7 +174,7 @@ CycleStats socket_cycle_bench(int clients, int active, int cycles,
         bulk_ends.push_back(std::move(connected).take());
       } else {
         int index = static_cast<int>(active_ends.size());
-        (void)connected.value()->send(ipc::Message(active_registration(index)));
+        (void)connected.value()->send(ipc::Message(registration(index)));
         active_ends.push_back(std::move(connected).take());
       }
     }
@@ -194,15 +186,13 @@ CycleStats socket_cycle_bench(int clients, int active, int cycles,
     std::fprintf(stderr, "rm_scale: warning: only %zu/%zu socket clients adopted\n",
                  rm.client_count(), want);
 
-  return run_cycles(active_ends, cycles, [&rm](double now) { rm.poll(now); });
+  return run_cycles(rm, active_ends, cycles);
 }
 
 /// Burst → all-activated round-trip against `registered` point-submitting
-/// apps on top of `idle` silent clients. The driver functor runs the server
-/// side once per spin (single server: one poll; threaded shards: nothing).
-template <typename Drive>
-double roundtrip_bench(std::vector<std::unique_ptr<ipc::Channel>>& registered_ends,
-                       int bursts, Drive drive) {
+/// apps on top of `idle` silent clients; `rm` polls once per spin.
+double roundtrip_bench(core::RmServer& rm,
+                       std::vector<std::unique_ptr<ipc::Channel>>& registered_ends, int bursts) {
   platform::HardwareDescription hw = platform::raptor_lake();
   double best = 0.0;
   double now = 10.0;
@@ -218,7 +208,7 @@ double roundtrip_bench(std::vector<std::unique_ptr<ipc::Channel>>& registered_en
     std::size_t remaining = registered_ends.size();
     while (remaining > 0 && seconds_since(t0) < 30.0) {
       now += 0.01;
-      drive(now);
+      rm.poll(now);
       for (std::size_t i = 0; i < registered_ends.size(); ++i) {
         if (activated[i]) continue;
         for (;;) {
@@ -237,39 +227,15 @@ double roundtrip_bench(std::vector<std::unique_ptr<ipc::Channel>>& registered_en
   return best;
 }
 
-json::Object roundtrip_row(const char* server, int idle, int registered, int bursts,
-                           double best_seconds) {
+json::Object roundtrip_row(int idle, int registered, int bursts, double best_seconds) {
   json::Object row;
   row["mode"] = json::Value("roundtrip");
-  row["server"] = json::Value(server);
+  row["server"] = json::Value("single");
   row["idle_clients"] = json::Value(idle);
   row["registered_apps"] = json::Value(registered);
   row["bursts"] = json::Value(bursts);
   row["best_roundtrip_seconds"] = json::Value(best_seconds);
   return row;
-}
-
-void register_apps(std::vector<std::unique_ptr<ipc::Channel>>& ends,
-                   const std::function<void(std::unique_ptr<ipc::Channel>)>& adopt,
-                   int count) {
-  for (int i = 0; i < count; ++i) {
-    auto [rm_end, app_end] = ipc::make_in_process_pair();
-    ipc::RegisterRequest reg;
-    reg.pid = 1000 + i;
-    reg.app_name = "scale_" + std::to_string(i);
-    (void)app_end->send(ipc::Message(reg));
-    adopt(std::move(rm_end));
-    ends.push_back(std::move(app_end));
-  }
-}
-
-void adopt_idle(const std::function<void(std::unique_ptr<ipc::Channel>)>& adopt,
-                std::vector<std::unique_ptr<ipc::Channel>>& keepalive, int count) {
-  for (int i = 0; i < count; ++i) {
-    auto [rm_end, app_end] = ipc::make_in_process_pair();
-    adopt(std::move(rm_end));
-    keepalive.push_back(std::move(app_end));  // closing would force drop work
-  }
 }
 
 }  // namespace
@@ -300,45 +266,20 @@ int main(int argc, char** argv) {
   std::printf("== RM cycle latency, mostly-idle population (%d heartbeats/cycle) ==\n", active);
   std::printf("%-8s %-12s %8s %14s %14s\n", "wire", "server", "clients", "p50[us]", "p99[us]");
 
-  // In-process: one event-loop server vs 4 coordinated shards.
+  // In-process: the cycle bookkeeping alone.
   {
-    auto make_single = [&hw]() {
-      core::RmServerOptions options;
-      options.lease_seconds = 0;
-      auto rm = std::make_shared<core::RmServer>(hw, options);
-      return std::make_pair(
-          std::function<void(std::unique_ptr<ipc::Channel>)>(
-              [rm](std::unique_ptr<ipc::Channel> c) { rm->adopt_channel(std::move(c)); }),
-          std::function<void(double)>([rm](double now) { rm->poll(now); }));
-    };
-    CycleStats loop = inproc_cycle_bench(inproc_clients, active, cycles, make_single);
-    print_cycle("inproc", "event_loop", inproc_clients, loop);
-    rows.push_back(json::Value(
-        cycle_row("inproc", "event_loop", inproc_clients, active, cycles, loop)));
-
-    auto make_sharded = [&hw]() {
-      core::ShardedRmOptions options;
-      options.num_shards = 4;
-      options.server.lease_seconds = 0;
-      auto rm = std::make_shared<core::ShardedRmServer>(hw, options);
-      return std::make_pair(
-          std::function<void(std::unique_ptr<ipc::Channel>)>(
-              [rm](std::unique_ptr<ipc::Channel> c) { rm->adopt_channel(std::move(c)); }),
-          std::function<void(double)>([rm](double now) { rm->poll(now); }));
-    };
-    CycleStats sharded = inproc_cycle_bench(inproc_clients, active, cycles, make_sharded);
-    print_cycle("inproc", "sharded4", inproc_clients, sharded);
-    rows.push_back(json::Value(
-        cycle_row("inproc", "sharded4", inproc_clients, active, cycles, sharded)));
+    core::RmServerOptions options;
+    options.lease_seconds = 0;
+    core::RmServer rm(hw, options);
+    report_cycle(rows, "inproc", inproc_clients, active, cycles,
+                 inproc_cycle_bench(rm, inproc_clients, active, cycles));
   }
 
   // Real sockets: the same cycle with the kernel's readiness reporting.
   if (socket_clients > 0) {
-    CycleStats loop =
-        socket_cycle_bench(socket_clients, active, cycles, "/tmp/harp_rm_scale_loop.sock");
-    print_cycle("socket", "event_loop", socket_clients, loop);
-    rows.push_back(json::Value(
-        cycle_row("socket", "event_loop", socket_clients, active, cycles, loop)));
+    report_cycle(rows, "socket", socket_clients, active, cycles,
+                 socket_cycle_bench(socket_clients, active, cycles,
+                                    "/tmp/harp_rm_scale_loop.sock"));
   }
 
   // Round-trip: burst of point submissions → all activations delivered.
@@ -350,42 +291,13 @@ int main(int argc, char** argv) {
     core::RmServerOptions options;
     options.lease_seconds = 0;
     core::RmServer rm(hw, options);
-    auto adopt = std::function<void(std::unique_ptr<ipc::Channel>)>(
-        [&rm](std::unique_ptr<ipc::Channel> c) { rm.adopt_channel(std::move(c)); });
-    std::vector<std::unique_ptr<ipc::Channel>> registered_ends, keepalive;
-    register_apps(registered_ends, adopt, registered);
-    adopt_idle(adopt, keepalive, idle);
+    std::vector<std::unique_ptr<ipc::Channel>> registered_ends, idle_ends;
+    adopt_clients(rm, registered_ends, registered, true);
+    adopt_clients(rm, idle_ends, idle, false);
     rm.poll(0.5);
-    double best = roundtrip_bench(registered_ends, bursts,
-                                  [&rm](double now) { rm.poll(now); });
+    double best = roundtrip_bench(rm, registered_ends, bursts);
     std::printf("%-18s best %.3f ms\n", "single", best * 1e3);
-    rows.push_back(json::Value(roundtrip_row("single", idle, registered, bursts, best)));
-  }
-  double single_best = 0.0;
-  if (!rows.empty()) {
-    const json::Object& last = rows.back().as_object();
-    single_best = last.at("best_roundtrip_seconds").as_number();
-  }
-  {
-    core::ShardedRmOptions options;
-    options.num_shards = 4;
-    options.rebalance = core::RebalanceMode::kLambdaDrift;
-    options.server.lease_seconds = 0;
-    core::ShardedRmServer rm(hw, options);
-    rm.start_threads();
-    auto adopt = std::function<void(std::unique_ptr<ipc::Channel>)>(
-        [&rm](std::unique_ptr<ipc::Channel> c) { rm.adopt_channel(std::move(c)); });
-    std::vector<std::unique_ptr<ipc::Channel>> registered_ends, keepalive;
-    register_apps(registered_ends, adopt, registered);
-    adopt_idle(adopt, keepalive, idle);
-    double best = roundtrip_bench(registered_ends, bursts, [](double) {});
-    rm.stop_threads();
-    std::printf("%-18s best %.3f ms", "sharded4_threaded", best * 1e3);
-    if (best > 0.0 && single_best > 0.0)
-      std::printf("  (%.2fx vs single)", single_best / best);
-    std::printf("\n");
-    rows.push_back(
-        json::Value(roundtrip_row("sharded4_threaded", idle, registered, bursts, best)));
+    rows.push_back(json::Value(roundtrip_row(idle, registered, bursts, best)));
   }
 
   if (!bench::write_bench_file(out_path, "rm_scale", std::move(rows))) return 1;

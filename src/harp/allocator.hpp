@@ -99,14 +99,13 @@ enum class SolveMode {
 };
 
 /// Reusable per-caller solver state. Holding one of these across RM cycles
-/// buys three things: (1) every scratch vector the solvers need is allocated
+/// buys two things: (1) every scratch vector the solvers need is allocated
 /// once and reused, making steady-state solves heap-allocation-free; (2) a
 /// fingerprint of the last solved instance lets a byte-identical cycle
-/// replay the cached AllocationResult without running a solver; (3) the last
-/// λ multipliers survive for diagnostics. A workspace belongs to one
-/// (Allocator, call site) pair — sharing it between allocators with
-/// different hardware or solver kinds would replay results across
-/// incompatible instances; invalidate() when retargeting.
+/// replay the cached AllocationResult without running a solver. A workspace
+/// belongs to one (Allocator, call site) pair — sharing it between
+/// allocators with different hardware or solver kinds would replay results
+/// across incompatible instances; invalidate() when retargeting.
 class SolveWorkspace {
  public:
   SolveWorkspace() = default;
@@ -128,11 +127,6 @@ class SolveWorkspace {
   /// λ iterations of the most recent solve that were served from the cached
   /// trajectory (clean-group argmins reused; only dirty groups rescanned).
   int last_sync_iterations() const { return last_sync_iters_; }
-
-  /// λ multipliers left by the last Lagrangian solve — diagnostics only; the
-  /// solver always restarts λ from zero so results stay independent of
-  /// workspace history.
-  const std::vector<double>& multipliers() const { return lambda_; }
 
   /// Drop the cached result, the λ-trajectory cache, and the per-group
   /// fingerprints so the next solve() runs in full. Needed only when

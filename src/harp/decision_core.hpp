@@ -1,7 +1,7 @@
 // The RM decision core (§4.2, Figs. 2–4): the registration → table → MMKP →
 // grant cycle minus how applications are driven. HarpPolicy (the
-// simulator), RmServer (harpd) and the ShardedRmServer coordinator keep only
-// their own candidate generation, I/O and actuation, and share from here:
+// simulator) and RmServer (harpd) keep only their own candidate
+// generation, I/O and actuation, and share from here:
 // group finishing (Pareto filter + ζ costs), the fair-share fallback points,
 // the per-application group cache, the incremental solve cycle with its
 // rm_group_* / rm_solve_* counters, and the skip test. See DESIGN.md "Hot
@@ -99,8 +99,6 @@ class DecisionCore {
   const AllocationGroup& group(std::size_t g) const { return *groups_[g]; }
   /// True when the last solve replayed the previous instance's result.
   bool replayed() const { return ws_.replayed(); }
-  /// λ multipliers of the last Lagrangian solve (empty before the first).
-  const std::vector<double>& multipliers() const { return ws_.multipliers(); }
   void set_parallelism(harp::ParallelFor* pool) { allocator_.set_parallelism(pool); }
 
  private:

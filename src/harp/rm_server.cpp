@@ -14,8 +14,6 @@ struct RmServer::Client {
   std::unique_ptr<ipc::Channel> channel;
   /// Cached native_handle() (the channel forgets it on close); -1 = in-proc.
   int fd = -1;
-  /// Global adoption order; ties allocation order together across shards.
-  std::uint64_t admission = 0;
   /// Readiness flag, set by the event loop (fd channels) or by the channel's
   /// ready hook (in-process channels, possibly from the sending thread) and
   /// test-and-cleared by the poll cycle. Shared so a hook outliving a poll
@@ -87,20 +85,12 @@ Status RmServer::listen(const std::string& socket_path) {
 
 void RmServer::adopt_channel(std::unique_ptr<ipc::Channel> channel) {
   MutexLock lock(mutex_);
-  adopt_channel_locked(std::move(channel), next_admission_++);
+  adopt_channel_locked(std::move(channel));
 }
 
-void RmServer::adopt_channel(std::unique_ptr<ipc::Channel> channel, std::uint64_t admission) {
-  MutexLock lock(mutex_);
-  if (admission >= next_admission_) next_admission_ = admission + 1;
-  adopt_channel_locked(std::move(channel), admission);
-}
-
-void RmServer::adopt_channel_locked(std::unique_ptr<ipc::Channel> channel,
-                                    std::uint64_t admission) {
+void RmServer::adopt_channel_locked(std::unique_ptr<ipc::Channel> channel) {
   auto client = std::make_unique<Client>();
   client->channel = std::move(channel);
-  client->admission = admission;
   client->fd = client->channel->native_handle();
   // New channels start ready: frames may have arrived before adoption.
   client->ready = std::make_shared<std::atomic<bool>>(true);
@@ -234,7 +224,7 @@ void RmServer::accept_pending_locked() {
       break;
     }
     if (!accepted.value().has_value()) break;
-    adopt_channel_locked(std::move(*accepted.value()), next_admission_++);
+    adopt_channel_locked(std::move(*accepted.value()));
   }
 }
 
@@ -279,7 +269,7 @@ void RmServer::process_cycle_locked(double now_seconds) {
     }
   }
 
-  if (needs_realloc_ && !options_.external_solver) reallocate();
+  if (needs_realloc_) reallocate();
 
   // Periodic utility feedback (Fig. 3 step 4).
   if (now_seconds - last_utility_poll_ >= options_.utility_poll_interval_s) {
@@ -450,13 +440,9 @@ void RmServer::send_activation_locked(Client& client, const OperatingPoint& poin
   ipc::ActivateMsg activate;
   activate.erv = point.erv;
   for (std::size_t t = 0; t < cores.cores.size(); ++t) {
-    for (const auto& [core, threads] : cores.cores[t]) {
-      // Budgeted servers solve in local core ids; translate to platform ids.
-      int platform_core =
-          owned_cores_.empty() ? core : owned_cores_[t][static_cast<std::size_t>(core)];
+    for (const auto& [core, threads] : cores.cores[t])
       activate.cores.push_back(
-          ipc::ActivateMsg::CoreGrant{static_cast<std::int32_t>(t), platform_core, threads});
-    }
+          ipc::ActivateMsg::CoreGrant{static_cast<std::int32_t>(t), core, threads});
   }
   bool scalable = client.adaptivity != ipc::WireAdaptivity::kStatic;
   activate.parallelism = scalable ? point.erv.total_threads() : 0;
@@ -515,51 +501,7 @@ void RmServer::export_groups(std::vector<ExportedGroup>& out) {
   MutexLock lock(mutex_);
   begin_cycle_locked();
   for (std::size_t g = 0; g < cycle_clients_.size(); ++g)
-    out.push_back(
-        ExportedGroup{clients_[cycle_clients_[g]]->admission, cycle_clients_[g], &core_.group(g)});
-}
-
-bool RmServer::take_needs_realloc() {
-  MutexLock lock(mutex_);
-  bool value = needs_realloc_;
-  needs_realloc_ = false;
-  return value;
-}
-
-void RmServer::push_activation(std::size_t client_index, const OperatingPoint& point,
-                               const platform::CoreAllocation& cores, double cost) {
-  MutexLock lock(mutex_);
-  if (client_index >= clients_.size()) return;
-  send_activation_locked(*clients_[client_index], point, cores, cost);
-}
-
-void RmServer::push_coallocation(std::size_t client_index) {
-  MutexLock lock(mutex_);
-  if (client_index >= clients_.size()) return;
-  send_coallocation_locked(*clients_[client_index]);
-}
-
-void RmServer::set_core_budget(std::vector<std::vector<int>> owned_cores) {
-  MutexLock lock(mutex_);
-  if (!owned_cores.empty())
-    HARP_CHECK(owned_cores.size() == hw_.core_types.size());
-  owned_cores_ = std::move(owned_cores);
-  platform::HardwareDescription budget_hw = hw_;
-  if (!owned_cores_.empty())
-    for (std::size_t t = 0; t < budget_hw.core_types.size(); ++t)
-      budget_hw.core_types[t].core_count = static_cast<int>(owned_cores_[t].size());
-  // A fresh core: the cached instance and λ trajectory were computed
-  // against the old capacities. The next solve is structural, and every
-  // client is granted anew.
-  core_ = DecisionCore(std::move(budget_hw), options_.solver, options_.tracer, options_.metrics);
-  core_.set_parallelism(solve_pool_.get());
-  grants_.forget();
-  needs_realloc_ = true;
-}
-
-std::vector<double> RmServer::last_multipliers() const {
-  MutexLock lock(mutex_);
-  return core_.multipliers();
+    out.push_back(ExportedGroup{&core_.group(g)});
 }
 
 void RmServer::reallocate() {
@@ -567,7 +509,10 @@ void RmServer::reallocate() {
   ++realloc_count_;
   if (reallocs_counter_ != nullptr) reallocs_counter_->inc();
   begin_cycle_locked();
-  if (cycle_clients_.empty()) return;
+  if (cycle_clients_.empty()) {
+    overloaded_ = false;
+    return;
+  }
 
   telemetry::Tracer* tracer = options_.tracer;
   if (tracer != nullptr)
@@ -591,14 +536,18 @@ void RmServer::reallocate() {
 
   if (!result.feasible) {
     // Co-allocation fallback (§4.2.2): every app gets the whole machine and
-    // the OS scheduler time-shares.
-    HARP_WARN << "demand exceeds capacity; falling back to co-allocation";
+    // the OS scheduler time-shares. Warn once per overload episode.
+    if (!overloaded_) {
+      HARP_WARN << "demand exceeds capacity; falling back to co-allocation";
+      overloaded_ = true;
+    }
     for (std::size_t index : cycle_clients_) send_coallocation_locked(*clients_[index]);
     if (tracer != nullptr)
       tracer->end(telemetry::EventType::kAllocCycle, "rm", {{"feasible", 0.0}});
     return;
   }
 
+  overloaded_ = false;
   for (std::size_t g = 0; g < cycle_clients_.size(); ++g) {
     const AllocationGroup& group = core_.group(g);
     send_activation_locked(*clients_[cycle_clients_[g]], group.candidates[result.selection[g]],

@@ -8,17 +8,11 @@
 // pushes operating-point activations with concrete spatially isolated core
 // grants, and polls utility feedback from applications that provide it.
 //
-// I/O is readiness-driven (DESIGN.md "Event loop & sharding"): an
-// ipc::EventLoop owns every client fd, so a poll() cycle drains only the
-// clients with work instead of issuing one recv(2) per connected client.
-// In-process channels participate through ready hooks that set a per-client
-// atomic flag and nudge the loop's wakeup pipe.
-//
-// For multi-RM scale-out the server also exposes a sharding surface
-// (export_groups / push_activation / set_core_budget): a ShardedRmServer
-// (rm_shard.hpp) runs N RmServers over disjoint client sets and either
-// solves globally across them (result-neutral to a single server) or gives
-// each shard a disjoint core budget and rebalances on λ drift.
+// I/O is readiness-driven (DESIGN.md "Event loop"): an ipc::EventLoop owns
+// every client fd, so a poll() cycle drains only the clients with work
+// instead of issuing one recv(2) per connected client. In-process channels
+// participate through ready hooks that set a per-client atomic flag and
+// nudge the loop's wakeup pipe. One RmServer serves the whole machine.
 //
 // The decision is the DecisionCore (decision_core.hpp) that HarpPolicy
 // drives too. RmServer senses neither power nor utility (its Tracer and
@@ -55,11 +49,6 @@ struct RmServerOptions {
   /// Consecutive malformed ("proto:") frames tolerated per client before the
   /// connection is cut; a valid frame resets the count.
   int max_malformed_frames = 8;
-  /// When true, poll() never runs the MMKP itself: it drains I/O and leaves
-  /// the realloc flag set for an external coordinator that solves globally
-  /// via export_groups() / push_activation() (ShardedRmServer with
-  /// rebalancing disabled).
-  bool external_solver = false;
   /// Worker lanes for the solver's across-groups scan (>= 1; the poll thread
   /// is lane 0, so 1 means no extra threads). Results are bit-identical for
   /// any value — this trades cores for latency on large instances only.
@@ -81,13 +70,10 @@ struct ClientSnapshot {
   std::vector<ipc::ActivateMsg::CoreGrant> granted;
 };
 
-/// One registered client's choice group, exported for an external (global)
-/// solve. `group` points into the server's client record and `client_index`
-/// is positional — both are valid only until the server's next poll() or
-/// adoption; the coordinator uses them within a single cycle.
+/// One registered client's choice group, exported for inspection and
+/// offline solves. `group` points into the server's client record and is
+/// valid only until the server's next poll() or adoption.
 struct ExportedGroup {
-  std::uint64_t admission = 0;   ///< global adoption order (the merge key)
-  std::size_t client_index = 0;  ///< index into the owning server
   const AllocationGroup* group = nullptr;
 };
 
@@ -103,16 +89,13 @@ class RmServer {
 
   /// Adopt an already connected channel (in-process transport).
   void adopt_channel(std::unique_ptr<ipc::Channel> channel);
-  /// Sharded adoption: the coordinator assigns the global admission number
-  /// so allocation order is defined across shards.
-  void adopt_channel(std::unique_ptr<ipc::Channel> channel, std::uint64_t admission);
 
   /// One event-loop iteration: accept clients, process pending messages,
   /// reallocate if anything changed, and issue due utility requests.
   /// `now_seconds` is the caller's clock (monotonic); drives utility polls.
   void poll(double now_seconds);
 
-  /// Blocking variant for dedicated shard threads: waits up to `timeout_ms`
+  /// Blocking variant for a dedicated RM thread: waits up to `timeout_ms`
   /// (-1 = indefinitely) for readiness before running the cycle. Returns
   /// immediately when wakeup() or readiness arrives.
   void poll(double now_seconds, int timeout_ms);
@@ -121,36 +104,9 @@ class RmServer {
   /// adoption, shutdown). Thread-safe.
   void wakeup();
 
-  // Sharding surface (used by ShardedRmServer; see rm_shard.hpp). ------
-
   /// Export the choice groups of all registered clients in adoption order,
   /// refreshing dirty group caches. See ExportedGroup for lifetime rules.
   void export_groups(std::vector<ExportedGroup>& out);
-
-  /// Consume the needs-reallocation flag (set by registrations, point
-  /// updates, departures). The external coordinator solves when any shard
-  /// reports true.
-  bool take_needs_realloc();
-
-  /// Push an externally solved activation to a client (by export index).
-  /// `cores` holds core ids local to this server's budget; they are
-  /// remapped to platform ids when a budget is installed.
-  void push_activation(std::size_t client_index, const OperatingPoint& point,
-                       const platform::CoreAllocation& cores, double cost);
-
-  /// Push the co-allocation fallback (whole machine, OS-scheduled).
-  void push_coallocation(std::size_t client_index);
-
-  /// Restrict this server to a disjoint slice of the platform: one vector of
-  /// owned physical core ids per core type. The internal allocator is
-  /// rebuilt with the slice's capacities and solves in local core ids, which
-  /// grants translate back through the slice. An empty outer vector restores
-  /// full-platform operation.
-  void set_core_budget(std::vector<std::vector<int>> owned_cores);
-
-  /// λ multipliers from the last Lagrangian solve (empty before the first
-  /// solve); the coordinator's rebalance signal.
-  std::vector<double> last_multipliers() const;
 
   // Read-only accessors. ------------------------------------------------
 
@@ -179,8 +135,7 @@ class RmServer {
 
   void accept_pending_locked() HARP_REQUIRES(mutex_);
   void process_cycle_locked(double now_seconds) HARP_REQUIRES(mutex_);
-  void adopt_channel_locked(std::unique_ptr<ipc::Channel> channel, std::uint64_t admission)
-      HARP_REQUIRES(mutex_);
+  void adopt_channel_locked(std::unique_ptr<ipc::Channel> channel) HARP_REQUIRES(mutex_);
   void process_client_messages(Client& client, double now_seconds) HARP_REQUIRES(mutex_);
   void handle_registration(Client& client, const ipc::RegisterRequest& request)
       HARP_REQUIRES(mutex_);
@@ -219,12 +174,11 @@ class RmServer {
   /// Clients adopted since the last cycle, awaiting their lease-clock start
   /// (adoption has no clock; poll() provides one).
   std::vector<Client*> lease_init_pending_ HARP_GUARDED_BY(mutex_);
-  /// Owned physical core ids per type when budgeted (see set_core_budget);
-  /// empty = the full platform.
-  std::vector<std::vector<int>> owned_cores_ HARP_GUARDED_BY(mutex_);
-  std::uint64_t next_admission_ HARP_GUARDED_BY(mutex_) = 0;
   std::int32_t next_app_id_ HARP_GUARDED_BY(mutex_) = 1;
   bool needs_realloc_ HARP_GUARDED_BY(mutex_) = false;
+  /// True from an infeasible (co-allocating) decision until the next
+  /// feasible or empty one: the overload warning is logged once per episode.
+  bool overloaded_ HARP_GUARDED_BY(mutex_) = false;
   double last_utility_poll_ HARP_GUARDED_BY(mutex_) = 0.0;
   std::uint64_t realloc_count_ HARP_GUARDED_BY(mutex_) = 0;
   std::uint64_t lease_evictions_ HARP_GUARDED_BY(mutex_) = 0;

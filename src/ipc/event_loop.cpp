@@ -219,6 +219,17 @@ void EventLoop::wakeup() {
   } while (rc < 0 && errno == EINTR);
 }
 
+void EventLoop::consume_wakeup() {
+  // Disarm, then take the one byte the ended armed period wrote. A wakeup()
+  // racing in after the disarm writes its own byte, which stays for the next
+  // wait(); draining the pipe here would swallow it and leave the loop armed
+  // over an empty pipe, deaf to every later wakeup().
+  wake_armed_.store(false, std::memory_order_release);
+  char byte;
+  while (::read(wake_rx_, &byte, 1) < 0 && errno == EINTR) {
+  }
+}
+
 Result<int> EventLoop::wait(int timeout_ms, std::vector<Ready>& out) {
   out.clear();
   woke_ = false;
@@ -267,12 +278,7 @@ Result<int> EventLoop::wait(int timeout_ms, std::vector<Ready>& out) {
       std::uint32_t ready = from_epoll_events(events[i].events);
       if (ready != 0) out.push_back(Ready{fd, ready});
     }
-    if (woke_) {
-      wake_armed_.store(false, std::memory_order_release);
-      char buf[64];
-      while (::read(wake_rx_, buf, sizeof(buf)) > 0) {
-      }
-    }
+    if (woke_) consume_wakeup();
     return static_cast<int>(out.size());
   }
 #endif
@@ -331,12 +337,7 @@ Result<int> EventLoop::wait(int timeout_ms, std::vector<Ready>& out) {
     std::uint32_t ready = from_poll_events(p.revents);
     if (ready != 0) out.push_back(Ready{p.fd, ready});
   }
-  if (woke_) {
-    wake_armed_.store(false, std::memory_order_release);
-    char buf[64];
-    while (::read(wake_rx_, buf, sizeof(buf)) > 0) {
-    }
-  }
+  if (woke_) consume_wakeup();
   return static_cast<int>(out.size());
 }
 

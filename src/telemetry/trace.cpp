@@ -24,8 +24,6 @@ const char* to_string(EventType type) {
     case EventType::kRegistration: return "registration";
     case EventType::kDseSweep: return "dse_sweep";
     case EventType::kQosRequest: return "qos_request";
-    case EventType::kShardCycle: return "shard_cycle";
-    case EventType::kRebalance: return "shard_rebalance";
   }
   return "?";
 }

@@ -1,8 +1,7 @@
-// The RM decision core shared by HarpPolicy, RmServer and the shard
-// coordinator: the cached incremental cycle must equal a cold solve under
-// arbitrary churn, the skip test must never swallow a new key, and the
-// simulator policy and the daemon must finish the same table into the same
-// group.
+// The RM decision core shared by HarpPolicy and RmServer: the cached
+// incremental cycle must equal a cold solve under arbitrary churn, the skip
+// test must never swallow a new key, and the simulator policy and the
+// daemon must finish the same table into the same group.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -116,22 +116,28 @@ TEST(EventLoop, WakeupSelfNudgeConsumedOnce) {
   }
 }
 
+// A wakeup() from another thread ends a blocked wait() at once, even after a
+// wakeup storm. Regression: wait() disarmed the wakeup flag and then drained
+// the whole pipe, so a wakeup() landing in between had its byte swallowed
+// while the flag stayed armed; every later wakeup() was coalesced into that
+// phantom byte, and the waiter slept out its timeout. The storm hits that
+// window within milliseconds.
 TEST(EventLoop, WakeupUnblocksWaitFromAnotherThread) {
   for (EventLoop::Backend backend : backends_under_test()) {
     EventLoop loop(backend);
     ASSERT_TRUE(loop.valid());
-    std::atomic<bool> returned{false};
-    std::thread waiter([&loop, &returned] {
+    std::atomic<bool> stop{false};
+    std::thread waiter([&loop, &stop] {
       std::vector<EventLoop::Ready> ready;
-      Result<int> n = loop.wait(30000, ready);
-      EXPECT_TRUE(n.ok());
-      returned.store(true);
+      while (!stop.load(std::memory_order_acquire)) EXPECT_TRUE(loop.wait(5000, ready).ok());
     });
-    // Whether the nudge lands before or during the wait, the armed byte must
-    // make it return promptly (well inside the 30 s timeout).
+    const auto storm_end = std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+    while (std::chrono::steady_clock::now() < storm_end) loop.wakeup();
+    stop.store(true, std::memory_order_release);
+    const auto t0 = std::chrono::steady_clock::now();
     loop.wakeup();
     waiter.join();
-    EXPECT_TRUE(returned.load());
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(), 2.5);
     EXPECT_TRUE(loop.woke());
   }
 }

@@ -13,11 +13,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -304,6 +308,19 @@ std::vector<ipc::Message> drain(ipc::Channel& channel) {
   return out;
 }
 
+/// Registers a fresh in-process client with `rm` and returns its app end.
+/// The frames are sent after adoption, so each push fires the ready hook.
+std::unique_ptr<ipc::Channel> join(core::RmServer& rm, std::int32_t pid, const std::string& name,
+                                   const ipc::OperatingPointsMsg& points) {
+  auto [rm_end, app_end] = ipc::make_in_process_pair();
+  rm.adopt_channel(std::move(rm_end));
+  EXPECT_TRUE(app_end->send(ipc::Message(ipc::RegisterRequest{
+                                pid, name, ipc::WireAdaptivity::kScalable, false}))
+                  .ok());
+  EXPECT_TRUE(app_end->send(ipc::Message(points)).ok());
+  return std::move(app_end);
+}
+
 // Regression — a registration that supersedes a stale connection must also
 // unregister the zombie, not just close its socket: a still-registered
 // zombie is handed a grant by the reallocation running later in the same
@@ -316,23 +333,13 @@ TEST(RmServerSupersede, ZombieExcludedFromSameCycleReallocation) {
   ipc::OperatingPointsMsg all_big;
   all_big.points = {{platform::ExtendedResourceVector::from_threads(hw, {4, 0}), 100.0, 6.0}};
 
-  auto [rm_a, app_a] = ipc::make_in_process_pair();
-  rm.adopt_channel(std::move(rm_a));
-  ASSERT_TRUE(app_a->send(ipc::Message(ipc::RegisterRequest{
-                              77, "worker", ipc::WireAdaptivity::kScalable, false}))
-                  .ok());
-  ASSERT_TRUE(app_a->send(ipc::Message(all_big)).ok());
+  std::unique_ptr<ipc::Channel> app_a = join(rm, 77, "worker", all_big);
   rm.poll(0.0);
   EXPECT_FALSE(drain(*app_a).empty());  // ack + activation for the first instance
 
   // The process restarted: a new connection arrives with the same identity
   // and the same demand while the old socket is not torn down yet.
-  auto [rm_b, app_b] = ipc::make_in_process_pair();
-  rm.adopt_channel(std::move(rm_b));
-  ASSERT_TRUE(app_b->send(ipc::Message(ipc::RegisterRequest{
-                              77, "worker", ipc::WireAdaptivity::kScalable, false}))
-                  .ok());
-  ASSERT_TRUE(app_b->send(ipc::Message(all_big)).ok());
+  std::unique_ptr<ipc::Channel> app_b = join(rm, 77, "worker", all_big);
   rm.poll(1.0);
 
   bool activated = false;
@@ -348,6 +355,102 @@ TEST(RmServerSupersede, ZombieExcludedFromSameCycleReallocation) {
 
   rm.poll(2.0);  // the closed zombie connection is reaped next cycle
   EXPECT_EQ(rm.client_count(), 1u);
+}
+
+/// Lines of captured stderr carrying the co-allocation warning.
+int overload_warnings(const std::string& captured) {
+  int count = 0;
+  for (std::size_t at = captured.find("demand exceeds capacity"); at != std::string::npos;
+       at = captured.find("demand exceeds capacity", at + 1))
+    ++count;
+  return count;
+}
+
+// Regression — the co-allocation warning was logged on every co-allocating
+// decision, so an overloaded RM wrote one identical stderr line per cycle.
+// It is logged once per overload episode and re-armed by a feasible one.
+TEST(RmServerOverload, WarnsOncePerEpisode) {
+  platform::HardwareDescription hw = platform::odroid_xu3e();
+  core::RmServer rm(hw, rm_options());
+  // Every point takes all four big cores, so any two of these apps overload.
+  auto all_big = [&hw](int little, double utility) {
+    ipc::OperatingPointsMsg msg;
+    msg.points = {
+        {platform::ExtendedResourceVector::from_threads(hw, {4, little}), utility, 6.0}};
+    return msg;
+  };
+
+  ::testing::internal::CaptureStderr();
+  std::unique_ptr<ipc::Channel> a = join(rm, 1, "a", all_big(0, 100.0));
+  std::unique_ptr<ipc::Channel> b = join(rm, 2, "b", all_big(0, 100.0));
+  rm.poll(0.0);
+  // Two more over-capacity decisions: each adds a point to a's front, so
+  // the instance changes and neither is skipped as a replay.
+  for (int cycle = 1; cycle <= 2; ++cycle) {
+    ASSERT_TRUE(a->send(ipc::Message(all_big(cycle, 100.0 + cycle))).ok());
+    rm.poll(0.1 * cycle);
+  }
+  EXPECT_EQ(rm.realloc_count(), 3u);
+  EXPECT_EQ(overload_warnings(::testing::internal::GetCapturedStderr()), 1);
+
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(b->send(ipc::Message(ipc::Deregister{})).ok());
+  rm.poll(1.0);  // a alone fits: the episode ends
+  std::unique_ptr<ipc::Channel> c = join(rm, 3, "c", all_big(0, 100.0));
+  rm.poll(1.1);  // a and c overload again: a new episode
+  EXPECT_EQ(overload_warnings(::testing::internal::GetCapturedStderr()), 1);
+  EXPECT_FALSE(rm.current_point("c").has_value());  // co-allocated, as before
+}
+
+// The blocking poll serves a dedicated RM thread: a client adopted from
+// another thread must reach it through the channel's ready hook, which wakes
+// the event loop, and wakeup() must end a blocked poll for shutdown. Both
+// must happen well inside the 5 s poll timeout, which only a wakeup beats.
+// Also runs under the `race` label (HARP_RACE_CHECK / TSan).
+TEST(RmServerThreaded, BlockingPollServesCrossThreadAdoptions) {
+  using Clock = std::chrono::steady_clock;
+  auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  platform::HardwareDescription hw = platform::raptor_lake();
+  core::RmServerOptions options;
+  options.lease_seconds = 0;
+  core::RmServer rm(hw, options);
+  std::atomic<bool> stop{false};
+  std::thread poller([&rm, &stop] {
+    for (double now = 0.0; !stop.load(std::memory_order_acquire); now += 0.01)
+      rm.poll(now, 5000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it block
+
+  const Clock::time_point t0 = Clock::now();
+  std::vector<std::unique_ptr<ipc::Channel>> apps;
+  for (int c = 0; c < 4; ++c) {
+    ipc::OperatingPointsMsg points;
+    points.points = {{platform::ExtendedResourceVector::from_threads(hw, {2, 2}), 10.0 + c, 5.0}};
+    apps.push_back(join(rm, 600 + c, "threaded" + std::to_string(c), points));
+  }
+  std::vector<int> acks(apps.size(), 0), activations(apps.size(), 0);
+  auto all_activated = [&] { return std::count(activations.begin(), activations.end(), 0) == 0; };
+  while (!all_activated() && seconds_since(t0) < 10.0) {
+    for (std::size_t c = 0; c < apps.size(); ++c) {
+      for (const ipc::Message& m : drain(*apps[c])) {
+        acks[c] += std::holds_alternative<ipc::RegisterAck>(m) ? 1 : 0;
+        activations[c] += std::holds_alternative<ipc::ActivateMsg>(m) ? 1 : 0;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double served_s = seconds_since(t0);
+
+  stop.store(true, std::memory_order_release);
+  const Clock::time_point stop_t0 = Clock::now();
+  rm.wakeup();
+  poller.join();
+  EXPECT_LT(seconds_since(stop_t0), 2.5);
+  EXPECT_TRUE(all_activated());
+  EXPECT_LT(served_s, 2.5);
+  EXPECT_EQ(acks, std::vector<int>(apps.size(), 1));
 }
 
 // Regression — a frame queued by a transient send failure while connected
@@ -498,14 +601,13 @@ TEST_P(RmFdReuse, ClientOnRecycledFdKeepsReceiving) {
   EXPECT_EQ(granted(), little.to_string(hw));
 }
 
-std::string backend_name(const ::testing::TestParamInfo<ipc::EventLoop::Backend>& info) {
-  return info.param == ipc::EventLoop::Backend::kPoll ? "poll" : "epoll";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, RmFdReuse,
-                         ::testing::Values(ipc::EventLoop::Backend::kEpoll,
-                                           ipc::EventLoop::Backend::kPoll),
-                         backend_name);
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RmFdReuse,
+    ::testing::Values(ipc::EventLoop::Backend::kEpoll, ipc::EventLoop::Backend::kPoll),
+    [](const ::testing::TestParamInfo<ipc::EventLoop::Backend>& info) {
+      return info.param == ipc::EventLoop::Backend::kPoll ? std::string("poll")
+                                                          : std::string("epoll");
+    });
 
 // ---------------------------------------------------------------------------
 // Telemetry over fault scenarios

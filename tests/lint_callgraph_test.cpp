@@ -6,8 +6,10 @@
 // caller lists ascending) the fixpoint's reproducible diagnostics rely on.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -227,6 +229,25 @@ TEST(CallGraph, LexerEdgeCasesDoNotCreatePhantomDefinitions) {
   EXPECT_TRUE(cg.nodes[static_cast<std::size_t>(ids["doc"])].calls.empty());
   // ...and the spliced identifier still resolves to the real helper.
   EXPECT_EQ(callees_of(cg, ids["spliced"]), std::vector<std::string>{"helper"});
+}
+
+TEST(CallGraph, TernaryCallIsNoConstructorDefinition) {
+  // In `c ? std::string("poll") : std::string("epoll")` the `:` is a
+  // ternary's, not an initializer list: no phantom `std::string` node may
+  // take the next body in the file and capture later std::string calls.
+  std::ifstream in(std::string(HARP_LINT_FIXTURE_DIR) + "/ternary_call.cpp", std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  GraphHarness h;
+  h.add("tests/lint_fixtures/ternary_call.cpp", text.str());
+  CallGraph cg = h.build();
+  auto ids = index_of(cg);
+  std::vector<std::string> names;
+  for (const CgNode& node : cg.nodes) names.push_back(qualified_name(node));
+  EXPECT_EQ(names, (std::vector<std::string>{"write_trace", "fixture_path", "regen"}));
+  EXPECT_TRUE(cg.nodes[static_cast<std::size_t>(ids["fixture_path"])].calls.empty());
+  EXPECT_EQ(callees_of(cg, ids["regen"]), std::vector<std::string>{"fixture_path"});
 }
 
 }  // namespace

@@ -205,6 +205,13 @@ TEST(LintFixtures, LexerEdgeCasesDoNotConfuseTheIndexer) {
   expect_exact({fixture("lexer_edges.cpp")}, {"r9"});
 }
 
+TEST(LintFixtures, TernaryCallIsNoConstructorDefinition) {
+  // A namespace-scope lambda returning `c ? std::string(a) : std::string(b)`
+  // must not index a phantom definition that routes an unrelated tainted
+  // call toward a sink: the fixture is r9-clean.
+  expect_exact({fixture("ternary_call.cpp")}, {"r9"});
+}
+
 TEST(LintFixtures, JsonFormatIsStable) {
   Finding plain{"src/a.cpp", 7, "r10", "iteration over unordered container 'm'"};
   Finding with_path{"src/b.cpp", 12, "r9", "quote \" backslash \\ tab \t done"};
@@ -247,10 +254,9 @@ TEST(LintFixtures, R6HotPathAllocations) {
 }
 
 TEST(LintFixtures, R6EventLoopHotPaths) {
-  // Fixtures shaped like the event-loop dispatch and shard-cycle loops
-  // (src/ipc/event_loop.cpp and src/harp/rm_shard.cpp are hot-path
-  // annotated): per-cycle readiness/snapshot buffers and per-shard scope
-  // strings must be hoisted.
+  // Fixtures shaped like the event-loop dispatch (src/ipc/event_loop.cpp is
+  // hot-path annotated) and a per-worker cycle loop: per-cycle
+  // readiness/snapshot buffers and per-worker scope strings must be hoisted.
   expect_exact({fixture("r6_eventloop_bad.cpp"), fixture("r6_eventloop_good.cpp")}, {"r6"});
 }
 

@@ -1,6 +1,7 @@
-// Bad fixture for r6 shaped like the mistakes the event-loop and shard-cycle
-// hot paths must avoid: readiness buffers and pollfd snapshots rebuilt from
-// scratch every cycle, and tracer scope names formatted per shard per cycle.
+// Bad fixture for r6 shaped like the mistakes the event-loop dispatch and a
+// per-worker cycle loop must avoid: readiness buffers and pollfd snapshots
+// rebuilt from scratch every cycle, and tracer scope names formatted per
+// worker per cycle.
 // harp-lint: hot-path
 #include <cstddef>
 #include <string>

@@ -1,5 +1,5 @@
-// Good fixture for r6 shaped like the event-loop dispatch and shard-cycle
-// hot paths (src/ipc/event_loop.cpp, src/harp/rm_shard.cpp): the readiness
+// Good fixture for r6 shaped like the event-loop dispatch hot path
+// (src/ipc/event_loop.cpp) and a per-worker cycle loop: the readiness
 // buffer is a caller-owned out-parameter, pollfd snapshots are rebuilt only
 // into hoisted members, and tracer scope names are precomputed — no loop
 // constructs a vector or string.

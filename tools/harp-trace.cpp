@@ -2,13 +2,12 @@
 //
 // Reads a JSONL trace produced by telemetry::write_trace_file and prints
 // per-cycle allocation summaries, an exploration convergence table, a
-// per-service deadline/QoS table, a fault/recovery timeline, and a per-shard
-// cycle/rebalance table (sharded RM scale-out). Sections can be selected
-// individually; with no selection flags every section is printed.
+// per-service deadline/QoS table, and a fault/recovery timeline. Sections
+// can be selected individually; with no selection flags every section is
+// printed.
 //
 // Usage:
-//   harp-trace [--summary] [--cycles] [--exploration] [--qos] [--faults] [--shards]
-//              <trace.jsonl>
+//   harp-trace [--summary] [--cycles] [--exploration] [--qos] [--faults] <trace.jsonl>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -26,7 +25,7 @@ using harp::telemetry::TraceEvent;
 void usage() {
   std::fprintf(stderr,
                "usage: harp-trace [--summary] [--cycles] [--exploration] [--qos] [--faults] "
-               "[--shards] <trace.jsonl>\n");
+               "<trace.jsonl>\n");
 }
 
 double num_arg(const TraceEvent& event, const std::string& key, double fallback = 0.0) {
@@ -234,63 +233,10 @@ void print_faults(const std::vector<TraceEvent>& events) {
   if (printed == 0) std::printf("no fault or link events in trace\n");
 }
 
-void print_shards(const std::vector<TraceEvent>& events) {
-  std::printf("== shards ==\n");
-  struct ShardStats {
-    std::size_t cycles = 0;
-    double busy_s = 0.0;
-    double max_cycle_s = 0.0;
-    double last_clients = 0.0;
-    double open_t = -1.0;
-  };
-  std::map<std::string, ShardStats> shards;
-  std::vector<const TraceEvent*> rebalances;
-  for (const TraceEvent& event : events) {
-    if (event.type == EventType::kShardCycle) {
-      ShardStats& shard = shards[event.scope];
-      if (event.phase == Phase::kBegin) {
-        shard.open_t = event.t;
-        shard.last_clients = num_arg(event, "clients");
-        continue;
-      }
-      if (event.phase == Phase::kEnd && shard.open_t >= 0.0) {
-        double duration = event.t - shard.open_t;
-        shard.open_t = -1.0;
-        ++shard.cycles;
-        shard.busy_s += duration;
-        if (duration > shard.max_cycle_s) shard.max_cycle_s = duration;
-      }
-      continue;
-    }
-    if (event.type == EventType::kRebalance) rebalances.push_back(&event);
-  }
-  if (shards.empty() && rebalances.empty()) {
-    std::printf("no shard events in trace\n");
-    return;
-  }
-  if (!shards.empty()) {
-    std::printf("%-12s %8s %9s %12s %12s\n", "shard", "cycles", "clients", "mean_cyc_s",
-                "max_cyc_s");
-    for (const auto& [name, shard] : shards) {
-      double denom = shard.cycles > 0 ? static_cast<double>(shard.cycles) : 1.0;
-      std::printf("%-12s %8zu %9.0f %12.6f %12.6f\n", name.c_str(), shard.cycles,
-                  shard.last_clients, shard.busy_s / denom, shard.max_cycle_s);
-    }
-  }
-  if (!rebalances.empty()) {
-    std::printf("rebalances:\n");
-    for (const TraceEvent* event : rebalances)
-      std::printf("%10.4f  core %.0f (type %.0f) shard %.0f -> shard %.0f\n", event->t,
-                  num_arg(*event, "core"), num_arg(*event, "type"), num_arg(*event, "from"),
-                  num_arg(*event, "to"));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool summary = false, cycles = false, exploration = false, qos = false, faults = false;
-  bool shards = false;
   std::string path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -304,8 +250,6 @@ int main(int argc, char** argv) {
       qos = true;
     } else if (arg == "--faults") {
       faults = true;
-    } else if (arg == "--shards") {
-      shards = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(), 2;
     } else if (path.empty()) {
@@ -315,8 +259,8 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) return usage(), 2;
-  if (!summary && !cycles && !exploration && !qos && !faults && !shards)
-    summary = cycles = exploration = qos = faults = shards = true;
+  if (!summary && !cycles && !exploration && !qos && !faults)
+    summary = cycles = exploration = qos = faults = true;
 
   auto loaded = harp::telemetry::load_trace_file(path);
   if (!loaded.ok()) {
@@ -330,6 +274,5 @@ int main(int argc, char** argv) {
   if (exploration) print_exploration(events);
   if (qos) print_qos(events);
   if (faults) print_faults(events);
-  if (shards) print_shards(events);
   return 0;
 }

@@ -50,6 +50,34 @@ std::size_t match_bracket(const std::vector<Token>& t, std::size_t open, std::si
   return limit;
 }
 
+/// Index of the body `{` after a constructor's initializer list (`k` is
+/// just past the `:`; entries are `name(init)` / `name{init}`, names maybe
+/// qualified or templated), or `limit` when the tokens are no initializer
+/// list — e.g. the `:` of a ternary `c ? std::string("a") : b;`, whose next
+/// `{` anywhere later would otherwise become a phantom definition's body.
+std::size_t skip_init_list(const std::vector<Token>& t, std::size_t k, std::size_t limit) {
+  while (k < limit) {
+    if (!is_ident(t[k])) return limit;
+    ++k;
+    while (k + 1 < limit && is(t[k], "::") && is_ident(t[k + 1])) k += 2;
+    if (k < limit && is(t[k], "<")) {  // templated base: `Base<T>(init)`
+      int angles = 0;
+      for (; k < limit; ++k) {
+        if (is(t[k], "<")) ++angles;
+        if (is(t[k], ">") && --angles == 0) break;
+      }
+      ++k;
+    }
+    if (k >= limit || !(is(t[k], "(") || is(t[k], "{"))) return limit;
+    k = match_bracket(t, k, limit) + 1;
+    while (k < limit && (is(t[k], "...") || is(t[k], "."))) ++k;  // pack expansion
+    if (k < limit && is(t[k], "{")) return k;
+    if (k >= limit || !is(t[k], ",")) return limit;
+    ++k;
+  }
+  return limit;
+}
+
 }  // namespace
 
 std::string normalize_lock_expr(const std::vector<Token>& tokens, std::size_t begin,
@@ -213,26 +241,8 @@ std::vector<FunctionDef> extract_functions(const std::vector<Token>& tokens) {
       }
       if (is(t, ":")) {  // ctor initializer list: `: member(init), member{init} {`
         saw_init_list = true;
-        ++k;
-        while (k < tokens.size() && !is(tokens[k], "{")) {
-          if (is(tokens[k], "(")) {
-            k = match_bracket(tokens, k, tokens.size()) + 1;
-            // After a completed initializer, a "{" that follows is the body
-            // only if no "," intervenes; either way the loop's "{" check at
-            // the top of the while handles it.
-            if (k < tokens.size() && is(tokens[k], ",")) ++k;
-            continue;
-          }
-          ++k;
-          // Brace-init member initializers (`member{...}`) follow an
-          // identifier or template closer directly.
-          if (k < tokens.size() && is(tokens[k], "{") && k > 0 &&
-              (is_ident(tokens[k - 1]) || is(tokens[k - 1], ">"))) {
-            k = match_bracket(tokens, k, tokens.size()) + 1;
-            if (k < tokens.size() && is(tokens[k], ",")) ++k;
-          }
-        }
-        break;  // k is at the body "{" (or at end)
+        k = skip_init_list(tokens, k + 1, tokens.size());
+        break;  // k is at the body "{" (or at end: no definition)
       }
       ok = false;
       break;
