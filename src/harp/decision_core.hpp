@@ -1,20 +1,24 @@
 // The RM decision core (§4.2, Figs. 2–4): the registration → table → MMKP →
 // grant cycle minus how applications are driven. HarpPolicy (the
-// simulator) and RmServer (harpd) keep only their own candidate
-// generation, I/O and actuation, and share from here:
-// group finishing (Pareto filter + ζ costs), the fair-share fallback points,
-// the per-application group cache, the incremental solve cycle with its
-// rm_group_* / rm_solve_* counters, and the skip test. See DESIGN.md "Hot
-// path & incrementality".
+// simulator), RmServer (harpd) and DvfsHarpPolicy (the §7 frequency
+// prototype) keep only their I/O, exploration and actuation, and share from
+// here: the table → choice-group step (build_group: fair-share fallback,
+// surrogate completion, thread cap, 5 % filter, Pareto filter + ζ costs,
+// soft-QoS row), the per-application group cache, the incremental solve
+// cycle with its rm_group_* / rm_solve_* counters, and the skip test. See
+// DESIGN.md "One decision core, three drivers".
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/harp/allocator.hpp"
+#include "src/harp/exploration.hpp"
 #include "src/harp/operating_point.hpp"
+#include "src/model/qos.hpp"
 #include "src/platform/hardware.hpp"
 #include "src/telemetry/metrics.hpp"
 #include "src/telemetry/trace.hpp"
@@ -25,17 +29,22 @@ namespace harp::core {
 /// per type), all minimised.
 std::vector<std::size_t> pareto_front(const std::vector<OperatingPoint>& points);
 
-/// Fallback candidates for an application without operating points: one per
-/// coarse configuration, utility = hardware threads (optimistic, so the MMKP
-/// can still trade resources between described and undescribed apps),
-/// power = Σ per-type active power of the cores used.
-std::vector<OperatingPoint> fair_share_points(const platform::HardwareDescription& hw);
-
 /// Append the Pareto front of `candidates` to `group`, each priced with ζ
 /// against the front's best utility v_max, which is returned. `front`, when
 /// non-null, receives the kept candidates' indices.
 double finish_group(const std::vector<OperatingPoint>& candidates, AllocationGroup& group,
                     std::vector<std::size_t>* front = nullptr);
+
+/// The table → choice-group step of every driver (§4.2, Fig. 2). `table` is
+/// used as submitted or, when `learning`, as measured points completed by a
+/// degree-`surrogate_degree` surrogate; without (measured) points the group
+/// starts from fair-share points. `max_threads` > 0 caps hardware threads (a
+/// static app); `qos` seeds fair-share utilities and adds the soft-QoS row.
+/// Then the 5 % filter and finish_group.
+AllocationGroup build_group(const platform::HardwareDescription& hw, std::string app_name,
+                            const OperatingPointTable& table, bool learning, int max_threads,
+                            const std::optional<model::QosSpec>& qos,
+                            int surrogate_degree = ExplorationConfig{}.regression_degree);
 
 /// One application's choice group, cached for the (table key, table
 /// version) it was built from. Clearing `valid` forces a rebuild.
@@ -65,7 +74,8 @@ class GrantMemo {
 /// cached) allocate nothing.
 class DecisionCore {
  public:
-  DecisionCore(platform::HardwareDescription hw, SolverKind solver, telemetry::Tracer* tracer,
+  /// Solves with the paper's Lagrangian solver (§4.2.2).
+  DecisionCore(platform::HardwareDescription hw, telemetry::Tracer* tracer,
                telemetry::MetricsRegistry* metrics);
 
   void begin_cycle();
@@ -99,7 +109,6 @@ class DecisionCore {
   const AllocationGroup& group(std::size_t g) const { return *groups_[g]; }
   /// True when the last solve replayed the previous instance's result.
   bool replayed() const { return ws_.replayed(); }
-  void set_parallelism(harp::ParallelFor* pool) { allocator_.set_parallelism(pool); }
 
  private:
   Allocator allocator_;

@@ -1,7 +1,6 @@
 #include "src/harp/dvfs.hpp"
 
 #include "src/common/check.hpp"
-#include "src/harp/decision_core.hpp"
 #include "src/harp/dse.hpp"
 
 namespace harp::core {
@@ -11,6 +10,11 @@ struct DvfsHarpPolicy::ManagedApp {
   const model::AppBehavior* behavior = nullptr;
   std::string name;
   double active_freq = 1.0;
+  /// Joint (allocation × frequency) choice group, built on the first
+  /// decision after start (the per-level tables never change), and the
+  /// frequency level of each of its candidates.
+  CachedGroup group;
+  std::vector<double> freq_of;
 };
 
 DvfsHarpPolicy::DvfsHarpPolicy(DvfsOptions options) : options_(std::move(options)) {
@@ -24,7 +28,7 @@ DvfsHarpPolicy::~DvfsHarpPolicy() = default;
 
 void DvfsHarpPolicy::attach(sim::RunnerApi& api) {
   api_ = &api;
-  allocator_ = std::make_unique<Allocator>(api.hardware(), options_.solver);
+  core_ = std::make_unique<DecisionCore>(api.hardware(), nullptr, nullptr);
 }
 
 void DvfsHarpPolicy::on_app_start(sim::AppId id) {
@@ -66,36 +70,34 @@ std::map<std::string, double> DvfsHarpPolicy::active_frequencies() const {
 void DvfsHarpPolicy::reallocate() {
   if (managed_.empty()) return;
 
-  // Build one choice group per app over the joint (allocation × frequency)
-  // space; `freq_of[g][c]` remembers which level candidate c came from.
-  std::vector<sim::AppId> ids;
-  std::vector<AllocationGroup> groups;
-  std::vector<std::vector<double>> freq_of;
-  for (const auto& [id, app] : managed_) {
-    const std::vector<OperatingPointTable>& per_level = tables_.at(app->name);
-    std::vector<OperatingPoint> candidates;
-    std::vector<double> freqs;
-    for (std::size_t level = 0; level < per_level.size(); ++level) {
-      for (const OperatingPoint& p : per_level[level].points(0)) {
-        candidates.push_back(p);
-        freqs.push_back(options_.freq_levels[level]);
+  // managed_ iterates in AppId order, so positions are stable across cycles.
+  core_->begin_cycle();
+  for (auto& [id, managed] : managed_) {
+    ManagedApp& app = *managed;
+    core_->add(static_cast<std::uint64_t>(id), app.group, app.name, 0, [this, &app] {
+      // One group over the joint (allocation × frequency) space, Pareto-
+      // filtered across all levels: frequency matters only through utility
+      // and power. Not build_group: each candidate keeps its level.
+      const std::vector<OperatingPointTable>& per_level = tables_.at(app.name);
+      std::vector<OperatingPoint> candidates;
+      std::vector<double> freqs;
+      for (std::size_t level = 0; level < per_level.size(); ++level) {
+        for (const OperatingPoint& p : per_level[level].points(0)) {
+          candidates.push_back(p);
+          freqs.push_back(options_.freq_levels[level]);
+        }
       }
-    }
-    // Joint Pareto filter over (utility↑, power↓, cores↓) across all levels;
-    // frequency is not an objective of its own — it only matters through
-    // its effect on utility and power.
-    AllocationGroup group;
-    group.app_name = app->name;
-    std::vector<std::size_t> front;
-    finish_group(candidates, group, &front);
-    std::vector<double> kept_freqs;
-    for (std::size_t i : front) kept_freqs.push_back(freqs[i]);
-    ids.push_back(id);
-    groups.push_back(std::move(group));
-    freq_of.push_back(std::move(kept_freqs));
+      AllocationGroup group;
+      group.app_name = app.name;
+      std::vector<std::size_t> front;
+      finish_group(candidates, group, &front);
+      app.freq_of.clear();
+      for (std::size_t i : front) app.freq_of.push_back(freqs[i]);
+      return group;
+    });
   }
 
-  AllocationResult result = allocator_->solve(groups);
+  const AllocationResult& result = core_->solve();
   double drag = options_.drag_base +
                 options_.drag_per_extra_app * (static_cast<double>(managed_.size()) - 1.0);
   if (!result.feasible) {
@@ -108,19 +110,20 @@ void DvfsHarpPolicy::reallocate() {
     return;
   }
 
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    ManagedApp& app = *managed_.at(ids[g]);
-    const OperatingPoint& point = groups[g].candidates[result.selection[g]];
+  for (std::size_t g = 0; g < core_->ids().size(); ++g) {
+    const auto id = static_cast<sim::AppId>(core_->ids()[g]);
+    ManagedApp& app = *managed_.at(id);
+    const OperatingPoint& point = core_->group(g).candidates[result.selection[g]];
     sim::AppControl control;
     control.allowed_slots = api_->slots().slots_of(result.allocations[g]);
     if (app.behavior->adaptivity != model::AdaptivityType::kStatic) {
       control.threads = point.erv.total_threads();
       control.rebalances = app.behavior->adaptivity == model::AdaptivityType::kCustom;
     }
-    control.freq_scale = freq_of[g][result.selection[g]];
+    control.freq_scale = app.freq_of[result.selection[g]];
     control.mgmt_drag = drag;
     app.active_freq = control.freq_scale;
-    api_->set_control(ids[g], control);
+    api_->set_control(id, control);
   }
 }
 

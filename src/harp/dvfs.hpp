@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "src/harp/allocator.hpp"
+#include "src/harp/decision_core.hpp"
 #include "src/harp/operating_point.hpp"
 #include "src/sim/runner.hpp"
 
@@ -27,7 +27,6 @@ struct DvfsOptions {
   /// Frequency levels explored per allocation (fractions of the calibrated
   /// maximum). Must be in (0, 1], descending, and contain 1.0.
   std::vector<double> freq_levels{1.0, 0.85, 0.70};
-  SolverKind solver = SolverKind::kLagrangian;
   /// Same libharp-hook drag model as HarpPolicy (§6.6).
   double drag_base = 0.006;
   double drag_per_extra_app = 0.010;
@@ -57,7 +56,7 @@ class DvfsHarpPolicy : public sim::Policy {
 
   DvfsOptions options_;
   sim::RunnerApi* api_ = nullptr;
-  std::unique_ptr<Allocator> allocator_;
+  std::unique_ptr<DecisionCore> core_;
   /// Per (application, frequency level): the offline table at that level.
   std::map<std::string, std::vector<OperatingPointTable>> tables_;
   std::map<sim::AppId, std::unique_ptr<ManagedApp>> managed_;

@@ -4,7 +4,6 @@
 
 #include "src/common/check.hpp"
 #include "src/common/logging.hpp"
-#include "src/harp/dse.hpp"
 
 namespace harp::core {
 
@@ -64,8 +63,7 @@ void HarpPolicy::attach(sim::RunnerApi& api) {
   options_.exploration.tracer = options_.tracer;
   explorer_ = std::make_unique<AppExplorer>(api.hardware(), options_.exploration);
   attributor_ = std::make_unique<energy::EnergyAttributor>(api.hardware());
-  core_ = std::make_unique<DecisionCore>(api.hardware(), options_.solver, options_.tracer,
-                                         options_.metrics);
+  core_ = std::make_unique<DecisionCore>(api.hardware(), options_.tracer, options_.metrics);
   unassigned_cores_.assign(api.hardware().core_types.size(), 0);
   next_measurement_time_ = options_.exploration.measurement_interval_s;
   if (options_.metrics != nullptr) {
@@ -285,104 +283,6 @@ std::vector<int> HarpPolicy::exploration_budget(const ManagedApp& app) const {
   return budget;
 }
 
-AllocationGroup HarpPolicy::build_group(const ManagedApp& app) const {
-  const platform::HardwareDescription& hw = api_->hardware();
-  const OperatingPointTable& table = table_of(app);
-  AllocationGroup group;
-  group.app_name = app.name;
-
-  std::vector<OperatingPoint> measured = table.points(1);
-  std::vector<OperatingPoint> candidates;
-
-  if (options_.mode == HarpOptions::Mode::kOffline && !table.empty()) {
-    candidates = table.points(0);
-  } else if (measured.empty()) {
-    // Fresh application: optimistic synthetic points (utility grows with
-    // threads, power with active cores) so the allocator grants it room to
-    // start exploring (§5.3: "sufficient resources to new applications").
-    candidates = fair_share_points(hw);
-    if (app.behavior->qos.has_value()) {
-      // Deadline apps declare their contract at registration; seed with the
-      // analytic hit-rate of the allocation's raw issue capacity so
-      // synthetic utilities live on the same [0, 1] scale measurements will
-      // report.
-      const model::QosSpec& spec = *app.behavior->qos;
-      for (OperatingPoint& p : candidates) {
-        double raw_gips = 0.0;
-        for (int t = 0; t < p.erv.num_types(); ++t)
-          raw_gips += hw.core_types[static_cast<std::size_t>(t)].base_gips *
-                      static_cast<double>(p.erv.cores_used(t));
-        p.nfc.utility =
-            model::qos_utility(raw_gips / spec.work_per_request_gi, spec.nominal_rate_rps, spec);
-      }
-    }
-  } else {
-    // Measured points verbatim; unmeasured configurations approximated by
-    // the regression surrogate (clamped positive — anomalies are exploration
-    // targets, not allocation candidates).
-    NfcModel surrogate(options_.exploration.regression_degree);
-    surrogate.fit(measured, static_cast<int>(
-                                platform::ExtendedResourceVector::zero(hw).feature_vector().size()),
-                  /*zero_anchor=*/true);
-    for (const platform::ExtendedResourceVector& erv : enumerate_coarse_points(hw)) {
-      OperatingPoint p;
-      p.erv = erv;
-      if (const OperatingPoint* known = table.find(erv); known != nullptr) {
-        p = *known;
-      } else {
-        NonFunctional pred = surrogate.predict(erv);
-        p.nfc.utility = std::max(pred.utility, 1e-3);
-        p.nfc.power_w = std::max(pred.power_w, 1e-2);
-      }
-      candidates.push_back(std::move(p));
-    }
-  }
-
-  // Static applications cannot grow their thread count: configurations with
-  // more hardware threads than application threads would idle the surplus.
-  if (app.behavior->adaptivity == model::AdaptivityType::kStatic) {
-    int max_threads = app.behavior->default_threads > 0
-                          ? app.behavior->default_threads
-                          : hw.total_hardware_threads();
-    std::erase_if(candidates, [&](const OperatingPoint& p) {
-      return p.erv.total_threads() > max_threads;
-    });
-    HARP_CHECK(!candidates.empty());
-  }
-
-  // Discard useless configurations (< 5 % of the app's best utility): their
-  // ζ is orders of magnitude above anything sensible, and letting them into
-  // the knapsack only distorts the Lagrangian multipliers. The smallest-
-  // footprint candidate is always retained so a feasible selection exists.
-  double v_best = 1e-9;
-  for (const OperatingPoint& p : candidates) v_best = std::max(v_best, p.nfc.utility);
-  std::size_t min_footprint = 0;
-  for (std::size_t i = 1; i < candidates.size(); ++i)
-    if (candidates[i].erv.total_cores() < candidates[min_footprint].erv.total_cores())
-      min_footprint = i;
-  std::vector<OperatingPoint> kept;
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    if (i == min_footprint || candidates[i].nfc.utility >= 0.05 * v_best)
-      kept.push_back(candidates[i]);
-  // Pareto-filter to keep the MMKP instance small, and price with ζ.
-  double v_max = finish_group(kept, group);
-
-  // Deadline apps carry a slack-priced soft-QoS row: candidates whose
-  // (hit-rate-shaped) utility falls below the contract's min_hit_rate pay a
-  // penalty proportional to the relative deficit, steering the MMKP toward
-  // QoS-meeting points while degrading gracefully under overload.
-  if (app.behavior->qos.has_value()) {
-    const model::QosSpec& spec = *app.behavior->qos;
-    AllocationGroup::SoftQos row;
-    row.min_rate = spec.min_hit_rate * v_max;
-    row.slack_weight = spec.slack_weight;
-    row.rates.reserve(group.candidates.size());
-    for (const OperatingPoint& p : group.candidates) row.rates.push_back(p.nfc.utility);
-    group.qos = std::move(row);
-  }
-  return group;
-}
-
 void HarpPolicy::reallocate() {
   needs_realloc_ = false;
   stable_tick_counter_ = 0;
@@ -401,8 +301,18 @@ void HarpPolicy::reallocate() {
   core_->begin_cycle();
   for (auto& [id, managed] : managed_) {
     const ManagedApp& app = *managed;
-    core_->add(static_cast<std::uint64_t>(id), managed->group, table_key(app),
-               table_of(app).version(), [this, &app] { return build_group(app); });
+    const OperatingPointTable& table = table_of(app);
+    core_->add(static_cast<std::uint64_t>(id), managed->group, table_key(app), table.version(),
+               [this, &app, &table, &hw] {
+                 // A static app would idle hardware threads beyond its own.
+                 const model::AppBehavior& b = *app.behavior;
+                 const int max_threads = b.adaptivity != model::AdaptivityType::kStatic ? 0
+                                         : b.default_threads > 0 ? b.default_threads
+                                                                 : hw.total_hardware_threads();
+                 const bool learning = options_.mode == HarpOptions::Mode::kOnline;
+                 return build_group(hw, app.name, table, learning, max_threads, b.qos,
+                                    options_.exploration.regression_degree);
+               });
   }
   const AllocationResult& result = core_->solve();
   if (!result.feasible) {

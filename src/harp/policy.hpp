@@ -47,7 +47,6 @@ struct HarpOptions {
   bool phase_aware = false;
 
   ExplorationConfig exploration;
-  SolverKind solver = SolverKind::kLagrangian;
 
   /// Pre-existing application profiles, keyed by application name: DSE
   /// tables in offline mode, or previously *learned* tables in online mode
@@ -111,7 +110,6 @@ class HarpPolicy : public sim::Policy {
   void reallocate();
   void push_controls();
   std::vector<int> exploration_budget(const ManagedApp& app) const;
-  AllocationGroup build_group(const ManagedApp& app) const;
   /// Table key for an app: its name, plus "#<stage>" under phase awareness.
   std::string table_key(const ManagedApp& app) const;
   OperatingPointTable& table_of(const ManagedApp& app);

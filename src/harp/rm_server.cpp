@@ -5,7 +5,6 @@
 
 #include "src/common/check.hpp"
 #include "src/common/logging.hpp"
-#include "src/common/parallel_for.hpp"
 #include "src/common/race_registry.hpp"
 
 namespace harp::core {
@@ -39,7 +38,7 @@ struct RmServer::Client {
   /// Last activation pushed, replayed on idempotent re-registration.
   ipc::ActivateMsg last_activation;
   bool activation_sent = false;
-  /// Choice group, rebuilt (Pareto filter + usage rows) only when the
+  /// Choice group, rebuilt (build_group + usage rows) only when the
   /// operating-point table changed since it was built. The table version is
   /// a conservative dirty signal — any table mutation invalidates; the
   /// solver's instance fingerprint catches equal-content rebuilds.
@@ -50,15 +49,10 @@ RmServer::RmServer(platform::HardwareDescription hw, RmServerOptions options)
     : loop_(std::make_shared<ipc::EventLoop>()),
       hw_(std::move(hw)),
       options_(options),
-      core_(hw_, options.solver, options.tracer, options.metrics) {
+      core_(hw_, options.tracer, options.metrics) {
   // Without its event loop (pipe/epoll fds exhausted) the process could not
   // serve sockets either.
   HARP_CHECK_MSG(loop_->valid(), "RM event loop unavailable (file descriptors exhausted?)");
-  HARP_CHECK(options_.solver_workers >= 1);
-  if (options_.solver_workers > 1) {
-    solve_pool_ = std::make_unique<harp::ParallelFor>(options_.solver_workers);
-    core_.set_parallelism(solve_pool_.get());
-  }
   if (options_.metrics != nullptr) {
     reallocs_counter_ = &options_.metrics->counter("rm_reallocs_total");
     registrations_counter_ = &options_.metrics->counter("rm_registrations_total");
@@ -86,6 +80,7 @@ Status RmServer::listen(const std::string& socket_path) {
 void RmServer::adopt_channel(std::unique_ptr<ipc::Channel> channel) {
   MutexLock lock(mutex_);
   adopt_channel_locked(std::move(channel));
+  wakeup();  // a blocked poll() must not sit out its timeout on queued frames
 }
 
 void RmServer::adopt_channel_locked(std::unique_ptr<ipc::Channel> channel) {
@@ -292,6 +287,7 @@ void RmServer::process_cycle_locked(double now_seconds) {
 }
 
 void RmServer::process_client_messages(Client& client, double now_seconds) {
+  constexpr int kMaxMalformedFrames = 8;  // consecutive, per client
   while (true) {
     // harp-lint: allow(r12 channel poll is nonblocking: reports empty when no full frame is buffered)
     Result<std::optional<ipc::Message>> message = client.channel->poll();
@@ -303,7 +299,7 @@ void RmServer::process_client_messages(Client& client, double now_seconds) {
         // bound its strikes. Receiving anything still proves liveness.
         client.last_heard = now_seconds;
         if (malformed_counter_ != nullptr) malformed_counter_->inc();
-        if (++client.malformed > options_.max_malformed_frames) {
+        if (++client.malformed > kMaxMalformedFrames) {
           HARP_WARN << "client '" << client.name << "': too many malformed frames; dropping";
           client.channel->close();
           return;
@@ -483,15 +479,11 @@ void RmServer::begin_cycle_locked() {
     Client* client = clients_[i].get();
     if (!client->registered) continue;
     cycle_clients_.push_back(i);
-    // The client's table, or the fair-share fallback while it has none.
+    // No learning, thread cap or QoS contract crosses the wire.
     core_.add(static_cast<std::uint64_t>(client->app_id), client->cached, {},
               client->table.version(), [&hw, client] {
-                AllocationGroup group;
-                group.app_name = client->name;
-                std::vector<OperatingPoint> candidates = client->table.points(0);
-                if (candidates.empty()) candidates = fair_share_points(hw);
-                finish_group(candidates, group);
-                return group;
+                return build_group(hw, client->name, client->table, /*learning=*/false,
+                                   /*max_threads=*/0, std::nullopt);
               });
   }
 }

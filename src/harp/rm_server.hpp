@@ -38,7 +38,6 @@
 namespace harp::core {
 
 struct RmServerOptions {
-  SolverKind solver = SolverKind::kLagrangian;
   /// Seconds between utility-feedback requests (§4.1.1 step 4).
   double utility_poll_interval_s = 1.0;
   /// Client lease: a client silent for longer than this is evicted and its
@@ -46,13 +45,6 @@ struct RmServerOptions {
   /// a malformed one) renews the lease; libharp sends heartbeats when idle.
   /// 0 disables lease tracking.
   double lease_seconds = 30.0;
-  /// Consecutive malformed ("proto:") frames tolerated per client before the
-  /// connection is cut; a valid frame resets the count.
-  int max_malformed_frames = 8;
-  /// Worker lanes for the solver's across-groups scan (>= 1; the poll thread
-  /// is lane 0, so 1 means no extra threads). Results are bit-identical for
-  /// any value — this trades cores for latency on large instances only.
-  int solver_workers = 1;
   /// Optional telemetry sinks (may each be null): allocation-cycle spans,
   /// grant/registration/lease instants, and "rm_*_total" counters.
   telemetry::Tracer* tracer = nullptr;
@@ -87,7 +79,9 @@ class RmServer {
   /// Bind the registration socket (Fig. 3 step 1).
   Status listen(const std::string& socket_path);
 
-  /// Adopt an already connected channel (in-process transport).
+  /// Adopt an already connected channel (in-process transport). Wakes a
+  /// blocked poll(now, timeout) so frames queued before adoption are served
+  /// at once. Thread-safe.
   void adopt_channel(std::unique_ptr<ipc::Channel> channel);
 
   /// One event-loop iteration: accept clients, process pending messages,
@@ -186,9 +180,6 @@ class RmServer {
   std::vector<std::size_t> cycle_clients_ HARP_GUARDED_BY(mutex_);
   /// app_ids of the last cycle that actually sent activations (skip test).
   GrantMemo grants_ HARP_GUARDED_BY(mutex_);
-  /// Solver worker pool (null when options.solver_workers == 1). Created at
-  /// construction, attached to every Allocator this server builds.
-  std::unique_ptr<harp::ParallelFor> solve_pool_;  // harp-lint: allow(all immutable after construction)
   /// Counters resolved once at construction from options.metrics (all null
   /// when metrics are off, making every increment a single null check).
   telemetry::Counter* reallocs_counter_ HARP_GUARDED_BY(mutex_) = nullptr;

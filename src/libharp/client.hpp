@@ -79,8 +79,9 @@ struct Config {
   /// the oldest droppable message (utility report, heartbeat) is discarded.
   std::size_t max_pending_sends = 64;
   /// Seconds of send-side silence before a liveness heartbeat; 0 = disabled.
-  /// Set this well below the RM's lease when leases are enabled.
-  double heartbeat_interval_s = 0.0;
+  /// The default stays well below the RM's default 30 s lease, so an idle
+  /// but healthy application is never evicted.
+  double heartbeat_interval_s = 10.0;
   /// Retransmit interval for an unacknowledged RegisterRequest; 0 = never.
   double register_retry_s = 0.5;
   /// Seed for backoff jitter (deterministic reconnect timing in tests).

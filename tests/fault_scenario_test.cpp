@@ -453,6 +453,63 @@ TEST(RmServerThreaded, BlockingPollServesCrossThreadAdoptions) {
   EXPECT_EQ(acks, std::vector<int>(apps.size(), 1));
 }
 
+// Regression — adopt_channel did not wake a blocked poll, so a registration
+// queued on an in-process channel before its adoption (no later frame fires
+// the ready hook) waited out the whole 5 s poll timeout.
+TEST(RmServerThreaded, AdoptionWakesBlockedPollForQueuedFrames) {
+  using Clock = std::chrono::steady_clock;
+  core::RmServerOptions options;
+  options.lease_seconds = 0;
+  core::RmServer rm(platform::raptor_lake(), options);
+  std::atomic<bool> stop{false};
+  std::thread poller([&rm, &stop] {
+    for (double now = 0.0; !stop.load(std::memory_order_acquire); now += 0.01)
+      rm.poll(now, 5000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it block
+
+  auto [rm_end, app_end] = ipc::make_in_process_pair();
+  ASSERT_TRUE(app_end->send(ipc::Message(ipc::RegisterRequest{
+                                700, "queued-early", ipc::WireAdaptivity::kScalable, false}))
+                  .ok());
+  const Clock::time_point t0 = Clock::now();
+  rm.adopt_channel(std::move(rm_end));
+  bool acked = false;
+  while (!acked && Clock::now() - t0 < std::chrono::seconds(10)) {
+    for (const ipc::Message& m : drain(*app_end))
+      acked = acked || std::holds_alternative<ipc::RegisterAck>(m);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double acked_s = std::chrono::duration<double>(Clock::now() - t0).count();
+
+  stop.store(true, std::memory_order_release);
+  rm.wakeup();
+  poller.join();
+  EXPECT_TRUE(acked);
+  EXPECT_LT(acked_s, 1.0);
+}
+
+// Regression — libharp's heartbeat was off by default while the RM's lease
+// is 30 s by default, so an idle application with default settings on both
+// sides was evicted after 30 s of silence (and, over a socket, reconnected
+// about every 30 s).
+TEST(FaultLease, DefaultClientSurvivesDefaultLease) {
+  core::RmServer rm(platform::raptor_lake());
+  auto [rm_end, app_end] = ipc::make_in_process_pair();
+  rm.adopt_channel(std::move(rm_end));
+  client::Config config;
+  config.app_name = "idle";
+  auto made = HarpClient::deferred(std::move(app_end), config);
+  ASSERT_TRUE(made.ok()) << made.error().message;
+  std::unique_ptr<HarpClient> app = std::move(made).take();
+  for (double now = 0.0; now <= 120.0; now += 0.5) {
+    rm.poll(now);
+    (void)app->poll(now);
+  }
+  EXPECT_EQ(rm.lease_evictions(), 0u);
+  EXPECT_EQ(app->link_state(), LinkState::kConnected);
+}
+
 // Regression — a frame queued by a transient send failure while connected
 // waited for the next re-registration, and a newer frame overtook it. It
 // must go out on the next poll, and ahead of anything sent after it.

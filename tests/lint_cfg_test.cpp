@@ -228,6 +228,19 @@ TEST(LintCfg, ExtractFindsRequiresAndQualifiedName) {
   EXPECT_EQ(defs[0].requires_locks[0], "m_");
 }
 
+TEST(LintCfg, StringLiteralBracesAreNotBraces) {
+  // The literal "{" is a string token: the body closes at the last brace and
+  // the second function is still found.
+  LexedFile lexed = lex("void f(int x) { if (is(tok, \"{\")) { ++d; } } void g() { ++d; }");
+  std::vector<FunctionDef> defs = extract_functions(lexed.tokens);
+  ASSERT_EQ(defs.size(), 2u);
+  EXPECT_EQ(defs[0].name, "f");
+  EXPECT_EQ(defs[1].name, "g");
+  Cfg cfg = build_cfg(lexed.tokens, defs[0].body_begin, defs[0].body_end);
+  // entry (the condition) -> then-block -> exit, and entry -> exit.
+  EXPECT_EQ(describe(cfg), describe(cfg_of("void f(int x) { if (c) { ++d; } }"))) << describe(cfg);
+}
+
 TEST(LintCfg, DescribeRendersStructure) {
   Cfg cfg = cfg_of("void f() { int a = 1; }");
   // Exact rendering for the simplest shape: one statement block feeding the

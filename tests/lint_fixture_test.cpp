@@ -212,6 +212,12 @@ TEST(LintFixtures, TernaryCallIsNoConstructorDefinition) {
   expect_exact({fixture("ternary_call.cpp")}, {"r9"});
 }
 
+TEST(LintFixtures, StringLiteralIsNoBracket) {
+  // `"{"` inside a condition must not open a scope: every rule, the CFG
+  // and lockset passes included, stays silent and in bounds.
+  expect_exact({fixture("string_brackets.cpp")}, {});
+}
+
 TEST(LintFixtures, JsonFormatIsStable) {
   Finding plain{"src/a.cpp", 7, "r10", "iteration over unordered container 'm'"};
   Finding with_path{"src/b.cpp", 12, "r9", "quote \" backslash \\ tab \t done"};

@@ -10,9 +10,6 @@
 namespace harp::lint {
 namespace {
 
-bool is(const Token& t, const char* text) { return t.text == text; }
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
 /// Identifiers that look like calls (`name (`) but are language constructs.
 bool is_not_a_call(const std::string& name) {
   static const std::set<std::string> kNotCalls = {

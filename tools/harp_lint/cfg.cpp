@@ -8,10 +8,6 @@
 namespace harp::lint {
 namespace {
 
-bool is(const Token& t, const char* text) { return t.text == text; }
-
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
 /// Identifiers that look like `name(...)` but can never open a function
 /// definition body.
 bool is_non_function_keyword(const std::string& name) {

@@ -38,6 +38,14 @@ struct LexedFile {
   std::vector<Include> includes;
 };
 
+/// True when `t` is the identifier, number or punctuation `text`. A string
+/// or character literal never matches: its stored body (say `{` from "{")
+/// is data, not a bracket.
+inline bool is(const Token& t, const char* text) {
+  return t.kind != TokKind::kString && t.text == text;
+}
+inline bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
+
 /// Tokenise one translation unit. Never fails: unrecognised bytes become
 /// single-character punctuation tokens.
 LexedFile lex(const std::string& text);

@@ -26,9 +26,6 @@ struct Scanned {
   LexedFile lexed;
 };
 
-bool is(const Token& t, const char* text) { return t.text == text; }
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
 /// The module dependency DAG (ISSUE/DESIGN: common → json/linalg →
 /// platform → model/ipc/mlmodels/energy → sim → sched → harp; libharp sits
 /// beside harp on top of ipc). A module may always include itself.

@@ -14,9 +14,6 @@
 namespace harp::lint {
 namespace {
 
-bool is(const Token& t, const char* text) { return t.text == text; }
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
 bool identifier_shaped(const std::string& s) {
   if (s.empty()) return false;
   for (char c : s)

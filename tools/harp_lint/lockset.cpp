@@ -11,9 +11,6 @@
 namespace harp::lint {
 namespace {
 
-bool is(const Token& t, const char* text) { return t.text == text; }
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
 // ---------------------------------------------------------------------------
 // Class field tables
 // ---------------------------------------------------------------------------

@@ -9,9 +9,6 @@
 namespace harp::lint {
 namespace {
 
-bool is(const Token& t, const char* text) { return t.text == text; }
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
 /// A nondeterminism source inside one function body.
 struct Source {
   int line = 1;
