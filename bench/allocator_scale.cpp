@@ -23,19 +23,17 @@
 // Emits BENCH_allocator_scale.json (schema: EXPERIMENTS.md "Benchmark JSON
 // schema"). `--quick` shrinks the sweep for the `bench`-labelled ctest entry
 // (and keeps the 1024×32×3 point the CI regression gate pins); `--out <path>`
-// redirects the JSON; `--workers N` attaches an N-lane solver pool
-// (bit-identical results for any N — see tests/parallel_solve_test.cpp).
+// redirects the JSON. Every row records `"workers": 1` (the solver scans
+// its groups serially), which keeps it keyed like the committed baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.hpp"
-#include "src/common/parallel_for.hpp"
 #include "src/common/rng.hpp"
 #include "src/harp/allocator.hpp"
 #include "src/platform/hardware.hpp"
@@ -205,22 +203,15 @@ const char* solver_name(core::SolverKind kind) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int workers = 1;
   std::string out_path = "BENCH_allocator_scale.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-      workers = std::atoi(argv[++i]);
     else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out path] [--workers n]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--out path]\n", argv[0]);
       return 2;
     }
   }
-  if (workers < 1) workers = 1;
-  std::unique_ptr<harp::ParallelFor> pool;
-  if (workers > 1) pool = std::make_unique<harp::ParallelFor>(workers);
-
   // The leading small point is the only one the exhaustive reference runs on.
   // Quick keeps 1024×32×3 — the point the CI regression gate compares.
   std::vector<SweepPoint> sweep = quick
@@ -228,8 +219,7 @@ int main(int argc, char** argv) {
       : std::vector<SweepPoint>{{8, 6, 2}, {16, 16, 2}, {64, 16, 3}, {256, 24, 3},
                                 {1024, 32, 3}, {4096, 32, 3}, {10240, 32, 3}};
 
-  std::printf("== Allocator scale: cold vs full vs warm-dirty vs skip cycles (workers=%d) ==\n",
-              workers);
+  std::printf("== Allocator scale: cold vs full vs warm-dirty vs skip cycles ==\n");
   std::printf("%-18s %-11s %12s %12s %12s %12s %8s %8s\n", "apps x cand x types", "solver",
               "cold[us]", "full[us]", "warm[us]", "skip[us]", "warm-x", "skip-x");
 
@@ -255,7 +245,6 @@ int main(int argc, char** argv) {
       if (kind == core::SolverKind::kGreedy && point.apps > 1024)
         continue;  // cold greedy is O(rounds·n·C): minutes per cycle past 1024
       core::Allocator allocator(hw, kind);
-      if (pool != nullptr) allocator.set_parallelism(pool.get());
       // Few reps on big instances (each cold cycle is slow), more on small.
       const int cycles = std::max(3, 512 / point.apps);
       // Replays deep-copy the cached result (O(n) selections + core lists):
@@ -290,7 +279,7 @@ int main(int argc, char** argv) {
       row["candidates"] = json::Value(point.candidates);
       row["core_types"] = json::Value(point.core_types);
       row["solver"] = json::Value(solver_name(kind));
-      row["workers"] = json::Value(workers);
+      row["workers"] = json::Value(1);
       row["cycles"] = json::Value(cycles);
       row["skip_cycles"] = json::Value(skip_cycles);
       row["feasible"] = json::Value(cold.feasible);

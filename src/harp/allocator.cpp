@@ -6,8 +6,7 @@
 // paths of the solver core (DESIGN.md "Hot path & incrementality"):
 //  - the dirty-subset incremental Lagrangian path, which replays the cached
 //    λ trajectory and rescans only changed groups while λ stays in sync, and
-//  - the vectorised per-candidate scan kernel plus the deterministic
-//    across-groups parallelisation (src/common/parallel_for).
+//  - the vectorised per-candidate scan kernel.
 // Both are result-neutral by construction; every equivalence argument lives
 // next to the code it justifies.
 #include "src/harp/allocator.hpp"
@@ -18,7 +17,6 @@
 #include <limits>
 
 #include "src/common/check.hpp"
-#include "src/common/parallel_for.hpp"
 
 namespace harp::core {
 
@@ -76,36 +74,6 @@ std::size_t scan_group_block(const double* __restrict block, const double* costs
     }
   }
   return pick;
-}
-
-/// Context for the across-groups scan: raw pointers only, so dispatching a
-/// parallel iteration allocates nothing and workers never touch workspace
-/// internals beyond their disjoint selection slots.
-struct ScanCtx {
-  const double* vec_rows = nullptr;
-  const std::size_t* vec_off = nullptr;
-  const std::size_t* group_size = nullptr;
-  const double* costs_base = nullptr;      ///< contiguous effective costs
-  const std::size_t* cand_off = nullptr;   ///< group -> offset into costs_base
-  const double* lambda = nullptr;
-  std::size_t num_types = 0;
-  double* relaxed_base = nullptr;
-  std::size_t relaxed_stride = 0;
-  std::size_t* selection = nullptr;
-};
-
-/// ParallelFor kernel: each lane scans its block-cyclic share of the groups.
-/// Writes are disjoint (selection[g] per group) and every pick is a pure
-/// function of (rows, costs, λ), so the result is bit-identical for any lane
-/// count — there is no cross-lane reduction at all; usage and cost sums are
-/// recomputed serially by the caller from the full selection.
-void scan_groups_kernel(void* p, std::size_t begin, std::size_t end, int lane) {
-  const ScanCtx& ctx = *static_cast<const ScanCtx*>(p);
-  double* relaxed = ctx.relaxed_base + static_cast<std::size_t>(lane) * ctx.relaxed_stride;
-  for (std::size_t g = begin; g < end; ++g)
-    ctx.selection[g] = scan_group_block(ctx.vec_rows + ctx.vec_off[g],
-                                        ctx.costs_base + ctx.cand_off[g], ctx.group_size[g],
-                                        ctx.num_types, ctx.lambda, relaxed);
 }
 
 }  // namespace
@@ -312,33 +280,16 @@ void Allocator::refresh_vectorized(SolveWorkspace& ws, bool all,
     }
     ws.dirty_rows_changed_ = changed;
   }
-  // Per-lane argmin scratch (lane count may change when a pool is attached
-  // or retargeted between solves).
-  const std::size_t lanes = pool_ != nullptr ? static_cast<std::size_t>(pool_->lanes()) : 1;
-  if (ws.relaxed_lanes_ != lanes || ws.relaxed_.size() != lanes * ws.max_candidates_) {
-    ws.relaxed_.resize(lanes * ws.max_candidates_);
-    ws.relaxed_lanes_ = lanes;
-  }
+  if (ws.relaxed_.size() != ws.max_candidates_) ws.relaxed_.resize(ws.max_candidates_);
   if (ws.repair_viol_.size() != ws.max_candidates_) ws.repair_viol_.resize(ws.max_candidates_);
 }
 
 void Allocator::scan_all_groups(SolveWorkspace& ws, const double* lambda) const {
-  ScanCtx ctx;
-  ctx.vec_rows = ws.vec_rows_.data();
-  ctx.vec_off = ws.vec_off_.data();
-  ctx.group_size = ws.group_size_.data();
-  ctx.costs_base = ws.vec_costs_.data();
-  ctx.cand_off = ws.cand_off_.data();
-  ctx.lambda = lambda;
-  ctx.num_types = capacity_.size();
-  ctx.relaxed_base = ws.relaxed_.data();
-  ctx.relaxed_stride = ws.max_candidates_;
-  ctx.selection = ws.selection_.data();
-  const std::size_t num_groups = ws.group_size_.size();
-  if (pool_ != nullptr)
-    pool_->run(num_groups, scan_groups_kernel, &ctx);
-  else
-    scan_groups_kernel(&ctx, 0, num_groups, 0);
+  const std::size_t num_types = capacity_.size();
+  for (std::size_t g = 0; g < ws.group_size_.size(); ++g)
+    ws.selection_[g] = scan_group_block(ws.vec_rows_.data() + ws.vec_off_[g],
+                                        ws.vec_costs_.data() + ws.cand_off_[g],
+                                        ws.group_size_[g], num_types, lambda, ws.relaxed_.data());
 }
 
 void Allocator::solve(const std::vector<const AllocationGroup*>& groups,
@@ -821,9 +772,7 @@ void Allocator::solve_lagrangian(SolveWorkspace& ws, bool incremental,
       }
       for (std::size_t t = 0; t < num_types; ++t) traj_usage[t] = usage[t];
     } else {
-      // Per-group argmin of ζ + λ·r under the current multipliers, across
-      // the worker pool when one is attached (bit-identical for any lane
-      // count: disjoint writes, no cross-lane arithmetic).
+      // Per-group argmin of ζ + λ·r under the current multipliers.
       scan_all_groups(ws, lambda.data());
       for (std::size_t g = 0; g < num_groups; ++g)
         traj_picks[g] = static_cast<std::uint32_t>(last_selection[g]);

@@ -30,10 +30,6 @@
 #include "src/platform/resource_vector.hpp"
 #include "src/telemetry/trace.hpp"
 
-namespace harp {
-class ParallelFor;
-}
-
 namespace harp::core {
 
 /// One application's choice group.
@@ -185,8 +181,7 @@ class SolveWorkspace {
   std::vector<double> vec_rows_;
   std::vector<std::size_t> vec_off_;       ///< group -> offset into vec_rows_
   std::size_t max_candidates_ = 0;
-  std::vector<double> relaxed_;            ///< per-lane argmin scratch (lanes x max_candidates)
-  std::size_t relaxed_lanes_ = 0;
+  std::vector<double> relaxed_;            ///< argmin scratch (max_candidates)
   /// Same transposed layout as vec_rows_ but int32: the repair scans are
   /// pure integer arithmetic, and the narrower rows halve their memory
   /// traffic (the repair loop is bandwidth-bound at scale).
@@ -291,14 +286,6 @@ class Allocator {
              const std::vector<std::uint32_t>& dirty, bool structure_changed,
              SolveWorkspace& ws, AllocationResult& out) const;
 
-  /// Attach a deterministic worker pool (src/common/parallel_for): full λ
-  /// iterations scan their groups across the pool's lanes. Results are
-  /// bit-identical for any lane count (picks are per-group pure functions;
-  /// every cross-lane reduction in the solver is integer-exact or merged in
-  /// lane order). Null restores serial scanning. Not owned; must outlive
-  /// every solve().
-  void set_parallelism(harp::ParallelFor* pool) { pool_ = pool; }
-
   const platform::HardwareDescription& hardware() const { return hw_; }
 
  private:
@@ -318,8 +305,7 @@ class Allocator {
   /// (clean blocks are byte-identical by the dirty contract).
   void refresh_vectorized(SolveWorkspace& ws, bool all,
                           const std::vector<std::uint32_t>& dirty) const;
-  /// Argmin scan of every group under `lambda` into ws.selection_, across
-  /// the attached pool's lanes (serial when no pool).
+  /// Argmin scan of every group under `lambda` into ws.selection_.
   void scan_all_groups(SolveWorkspace& ws, const double* lambda) const;
 
   // Each solver leaves its final selection in ws.best_feasible_ (empty →
@@ -340,8 +326,6 @@ class Allocator {
   std::vector<int> capacity_;
   /// Optional: wraps every solve() in a kMmkpSolve span (groups/cost/feasible).
   telemetry::Tracer* tracer_;
-  /// Optional deterministic worker pool (see set_parallelism). Not owned.
-  harp::ParallelFor* pool_ = nullptr;
 };
 
 /// True iff the selected points jointly fit the capacity vector.

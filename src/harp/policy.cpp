@@ -41,8 +41,13 @@ std::string HarpPolicy::table_key(const ManagedApp& app) const {
 OperatingPointTable& HarpPolicy::table_of(const ManagedApp& app) {
   std::string key = table_key(app);
   auto it = tables_.find(key);
-  if (it == tables_.end()) it = tables_.emplace(key, OperatingPointTable(key)).first;
-  return it->second;
+  if (it != tables_.end()) return it->second;
+  // First sighting of this key (an app, or one execution stage of it): online
+  // runs keep refining a shipped profile (§4.3's self-improving profiles).
+  auto shipped = options_.offline_tables.find(key);
+  if (shipped != options_.offline_tables.end())
+    return tables_.emplace(key, shipped->second).first->second;
+  return tables_.emplace(key, OperatingPointTable(key)).first->second;
 }
 
 const OperatingPointTable& HarpPolicy::table_of(const ManagedApp& app) const {
@@ -85,19 +90,7 @@ void HarpPolicy::on_app_start(sim::AppId id) {
     app->cpu_marker = api_->cpu_time_by_type(id);
 
     app->last_phase = api_->app_phase(id);
-    std::string key = table_key(*app);
-    if (tables_.count(key) == 0) {
-      // First sighting: install the shipped profile when one exists — the
-      // DSE table in offline mode, or a previously learned table in online
-      // mode (§4.3's self-improving profiles; online runs keep refining it)
-      // — otherwise start an empty table to be learned.
-      auto it = options_.offline_tables.find(key);
-      if (it != options_.offline_tables.end())
-        tables_.emplace(key, it->second);
-      else
-        tables_.emplace(key, OperatingPointTable(key));
-    }
-    app->last_stage = explorer_->stage(tables_.at(key));
+    app->last_stage = explorer_->stage(table_of(*app));
     if (options_.tracer != nullptr)
       options_.tracer->instant(telemetry::EventType::kRegistration, app->name,
                                {{"app_id", static_cast<double>(id)}},

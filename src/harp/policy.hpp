@@ -48,7 +48,8 @@ struct HarpOptions {
 
   ExplorationConfig exploration;
 
-  /// Pre-existing application profiles, keyed by application name: DSE
+  /// Pre-existing application profiles, keyed like the policy's tables
+  /// (the application name, or "<name>#<stage>" under phase awareness): DSE
   /// tables in offline mode, or previously *learned* tables in online mode
   /// (the paper evaluates online HARP after its warm-up phase, §6.3/§6.5).
   std::map<std::string, OperatingPointTable> offline_tables;
@@ -112,6 +113,8 @@ class HarpPolicy : public sim::Policy {
   std::vector<int> exploration_budget(const ManagedApp& app) const;
   /// Table key for an app: its name, plus "#<stage>" under phase awareness.
   std::string table_key(const ManagedApp& app) const;
+  /// The table under the app's current key, installed on first use from
+  /// `offline_tables` (or empty when no profile is shipped for that key).
   OperatingPointTable& table_of(const ManagedApp& app);
   const OperatingPointTable& table_of(const ManagedApp& app) const;
 

@@ -3,13 +3,8 @@
 // One EventLoop owns the kernel-side interest set for every fd a server
 // watches — the listen socket plus all client connections — and turns the
 // old O(clients) poll-per-client syscall scan into one wait() returning only
-// the fds with work. Two backends behind one API:
-//
-//   - kEpoll: epoll(7), level-triggered. O(ready) per cycle; the default on
-//     Linux.
-//   - kPoll:  portable poll(2) over a cached pollfd snapshot. O(watched) per
-//     cycle but still one syscall instead of one per client; the fallback
-//     for platforms without epoll and the cross-check backend in tests.
+// the fds with work. It is a level-triggered epoll(7) instance: O(ready) per
+// cycle.
 //
 // A wakeup pipe is always part of the interest set so other threads can
 // nudge a blocked wait(): cross-thread channel adoption, in-process frame
@@ -26,15 +21,14 @@
 #include "src/common/result.hpp"
 #include "src/common/thread_annotations.hpp"
 
-// Forward-declared to keep <poll.h> / <sys/epoll.h> out of this header;
-// std::vector members of incomplete types are fine since C++17 (the
-// destructor lives in event_loop.cpp where both are complete).
-struct pollfd;
+// Forward-declared to keep <sys/epoll.h> out of this header; a std::vector
+// member of an incomplete type is fine since C++17 (the destructor lives in
+// event_loop.cpp where it is complete).
 struct epoll_event;
 
 namespace harp::ipc {
 
-/// Interest/readiness bits (mapped to EPOLLIN/EPOLLOUT or POLLIN/POLLOUT).
+/// Interest/readiness bits (mapped to EPOLLIN/EPOLLOUT).
 inline constexpr std::uint32_t kEventReadable = 0x1;
 inline constexpr std::uint32_t kEventWritable = 0x2;
 /// Reported (never requested): peer hung up or fd error. Always delivered
@@ -43,19 +37,13 @@ inline constexpr std::uint32_t kEventError = 0x4;
 
 class EventLoop {
  public:
-  enum class Backend : std::uint8_t {
-    kDefault,  ///< epoll where available, else poll
-    kEpoll,
-    kPoll,
-  };
-
   /// One ready fd from wait(). `events` is a bitmask of the kEvent* flags.
   struct Ready {
     int fd = -1;
     std::uint32_t events = 0;
   };
 
-  explicit EventLoop(Backend backend = Backend::kDefault);
+  EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -63,8 +51,6 @@ class EventLoop {
   /// False when construction failed (fd exhaustion); all operations on an
   /// invalid loop fail cleanly and wait() reports the construction error.
   bool valid() const { return valid_; }
-  /// The backend actually in use (kDefault is resolved at construction).
-  Backend backend() const { return backend_; }
 
   /// Watch `fd` for `events`. One registration per fd; re-adding replaces
   /// the interest mask (same as modify).
@@ -98,7 +84,6 @@ class EventLoop {
 
   // The mutex below guards only the interest set; everything else is either
   // immutable after construction or owned by the loop's driving thread.
-  Backend backend_ = Backend::kPoll;  // harp-lint: allow(all immutable after construction)
   bool valid_ = false;                // harp-lint: allow(all immutable after construction)
   bool woke_ = false;                 // harp-lint: allow(all loop-thread-only wait() state)
   int epoll_fd_ = -1;                 // harp-lint: allow(all immutable after construction)
@@ -110,19 +95,11 @@ class EventLoop {
 
   /// Interest set. Guarded so cross-thread add/remove during a blocked
   /// wait() (channel adoption into a server polling on its own thread)
-  /// cannot tear the map; the kernel wait itself runs outside the lock, and
-  /// mutators wakeup() the loop so a blocked poll-backend wait rebuilds its
-  /// snapshot promptly.
+  /// cannot tear the map; the kernel wait itself runs outside the lock.
   mutable Mutex mutex_;
   std::map<int, std::uint32_t> interest_ HARP_GUARDED_BY(mutex_);
-  std::uint64_t interest_version_ HARP_GUARDED_BY(mutex_) = 0;
 
-  // poll backend: cached pollfd snapshot, rebuilt only when interest_
-  // changed (interest_version_ tracks mutations).
-  std::vector<struct pollfd> pollfds_;
-  std::uint64_t snapshot_version_ = ~0ull;  // harp-lint: allow(all loop-thread-only wait() state)
-
-  // epoll backend: reusable event buffer (sized to the interest set).
+  /// Reusable epoll_wait() event buffer (sized to the interest set).
   std::vector<struct epoll_event> epoll_buf_;
 };
 

@@ -3,7 +3,7 @@
 // spanning readiness events, fd churn, EINTR/EAGAIN handling via the syscall
 // seam, and nonblocking-send buffering flushed on writable readiness.
 #include <gtest/gtest.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -37,7 +37,7 @@ class ScopedSyscallOverride {
 // Hook state: plain function pointers cannot capture, so the budgets live in
 // file-scope atomics reset by each test before installing a hook.
 std::atomic<int> g_recv_eintr_budget{0};
-std::atomic<int> g_poll_eintr_budget{0};
+std::atomic<int> g_epoll_wait_eintr_budget{0};
 std::atomic<int> g_accept_eintr_budget{0};
 
 ssize_t recv_eintr_then_real(int fd, void* buf, size_t len, int flags) {
@@ -53,12 +53,13 @@ ssize_t recv_always_eagain(int, void*, size_t, int) {
   return -1;
 }
 
-int poll_eintr_then_real(struct pollfd* fds, nfds_t nfds, int timeout) {
-  if (g_poll_eintr_budget.fetch_sub(1) > 0) {
+int epoll_wait_eintr_then_real(int epfd, struct epoll_event* events, int maxevents,
+                               int timeout) {
+  if (g_epoll_wait_eintr_budget.fetch_sub(1) > 0) {
     errno = EINTR;
     return -1;
   }
-  return ::poll(fds, nfds, timeout);
+  return ::epoll_wait(epfd, events, maxevents, timeout);
 }
 
 int accept_eintr_then_real(int fd, struct sockaddr* addr, socklen_t* addr_len) {
@@ -84,12 +85,6 @@ struct SocketPair {
   }
 };
 
-/// Backends every test sweeps: the resolved default (epoll on Linux) and the
-/// portable poll fallback, so both stay behaviourally identical.
-std::vector<EventLoop::Backend> backends_under_test() {
-  return {EventLoop::Backend::kDefault, EventLoop::Backend::kPoll};
-}
-
 bool has_event(const std::vector<EventLoop::Ready>& ready, int fd, std::uint32_t mask) {
   for (const EventLoop::Ready& r : ready)
     if (r.fd == fd && (r.events & mask) != 0) return true;
@@ -97,23 +92,21 @@ bool has_event(const std::vector<EventLoop::Ready>& ready, int fd, std::uint32_t
 }
 
 TEST(EventLoop, WakeupSelfNudgeConsumedOnce) {
-  for (EventLoop::Backend backend : backends_under_test()) {
-    EventLoop loop(backend);
-    ASSERT_TRUE(loop.valid());
-    loop.wakeup();
-    loop.wakeup();  // coalesced: one byte in flight at most
-    std::vector<EventLoop::Ready> ready;
-    Result<int> n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), 0);  // the wakeup pipe is never reported as ready
-    EXPECT_TRUE(ready.empty());
-    EXPECT_TRUE(loop.woke());
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  loop.wakeup();
+  loop.wakeup();  // coalesced: one byte in flight at most
+  std::vector<EventLoop::Ready> ready;
+  Result<int> n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 0);  // the wakeup pipe is never reported as ready
+  EXPECT_TRUE(ready.empty());
+  EXPECT_TRUE(loop.woke());
 
-    n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), 0);
-    EXPECT_FALSE(loop.woke());  // the nudge does not linger
-  }
+  n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 0);
+  EXPECT_FALSE(loop.woke());  // the nudge does not linger
 }
 
 // A wakeup() from another thread ends a blocked wait() at once, even after a
@@ -123,154 +116,122 @@ TEST(EventLoop, WakeupSelfNudgeConsumedOnce) {
 // phantom byte, and the waiter slept out its timeout. The storm hits that
 // window within milliseconds.
 TEST(EventLoop, WakeupUnblocksWaitFromAnotherThread) {
-  for (EventLoop::Backend backend : backends_under_test()) {
-    EventLoop loop(backend);
-    ASSERT_TRUE(loop.valid());
-    std::atomic<bool> stop{false};
-    std::thread waiter([&loop, &stop] {
-      std::vector<EventLoop::Ready> ready;
-      while (!stop.load(std::memory_order_acquire)) EXPECT_TRUE(loop.wait(5000, ready).ok());
-    });
-    const auto storm_end = std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-    while (std::chrono::steady_clock::now() < storm_end) loop.wakeup();
-    stop.store(true, std::memory_order_release);
-    const auto t0 = std::chrono::steady_clock::now();
-    loop.wakeup();
-    waiter.join();
-    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(), 2.5);
-    EXPECT_TRUE(loop.woke());
-  }
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  std::atomic<bool> stop{false};
+  std::thread waiter([&loop, &stop] {
+    std::vector<EventLoop::Ready> ready;
+    while (!stop.load(std::memory_order_acquire)) EXPECT_TRUE(loop.wait(5000, ready).ok());
+  });
+  const auto storm_end = std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  while (std::chrono::steady_clock::now() < storm_end) loop.wakeup();
+  stop.store(true, std::memory_order_release);
+  const auto t0 = std::chrono::steady_clock::now();
+  loop.wakeup();
+  waiter.join();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(), 2.5);
+  EXPECT_TRUE(loop.woke());
 }
 
 TEST(EventLoop, ReadableAndWritableReadiness) {
-  for (EventLoop::Backend backend : backends_under_test()) {
-    EventLoop loop(backend);
-    ASSERT_TRUE(loop.valid());
-    SocketPair pair;
-    ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable).ok());
-    EXPECT_EQ(loop.watched(), 1u);
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  SocketPair pair;
+  ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable).ok());
+  EXPECT_EQ(loop.watched(), 1u);
 
-    std::vector<EventLoop::Ready> ready;
-    Result<int> n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), 0);  // nothing to read yet
+  std::vector<EventLoop::Ready> ready;
+  Result<int> n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 0);  // nothing to read yet
 
-    char byte = 'x';
-    ASSERT_EQ(::send(pair.fds[1], &byte, 1, 0), 1);
-    n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), 1);
-    EXPECT_TRUE(has_event(ready, pair.fds[0], kEventReadable));
+  char byte = 'x';
+  ASSERT_EQ(::send(pair.fds[1], &byte, 1, 0), 1);
+  n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 1);
+  EXPECT_TRUE(has_event(ready, pair.fds[0], kEventReadable));
 
-    // Level-triggered: still ready until drained, quiet afterwards.
-    n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), 1);
-    ASSERT_EQ(::recv(pair.fds[0], &byte, 1, 0), 1);
-    n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), 0);
+  // Level-triggered: still ready until drained, quiet afterwards.
+  n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 1);
+  ASSERT_EQ(::recv(pair.fds[0], &byte, 1, 0), 1);
+  n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 0);
 
-    // An empty socket buffer is immediately writable.
-    ASSERT_TRUE(loop.modify(pair.fds[0], kEventWritable).ok());
-    n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    EXPECT_TRUE(has_event(ready, pair.fds[0], kEventWritable));
+  // An empty socket buffer is immediately writable.
+  ASSERT_TRUE(loop.modify(pair.fds[0], kEventWritable).ok());
+  n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  EXPECT_TRUE(has_event(ready, pair.fds[0], kEventWritable));
 
-    loop.remove(pair.fds[0]);
-    EXPECT_EQ(loop.watched(), 0u);
-  }
+  loop.remove(pair.fds[0]);
+  EXPECT_EQ(loop.watched(), 0u);
 }
 
 TEST(EventLoop, PeerCloseReportsError) {
-  for (EventLoop::Backend backend : backends_under_test()) {
-    EventLoop loop(backend);
-    ASSERT_TRUE(loop.valid());
-    SocketPair pair;
-    ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable).ok());
-    ::close(pair.release(1));
-    std::vector<EventLoop::Ready> ready;
-    Result<int> n = loop.wait(0, ready);
-    ASSERT_TRUE(n.ok());
-    ASSERT_EQ(n.value(), 1);
-    // Hangup surfaces as readable (so the owner drains the EOF) plus error.
-    EXPECT_TRUE(has_event(ready, pair.fds[0], kEventReadable));
-    EXPECT_TRUE(has_event(ready, pair.fds[0], kEventError));
-  }
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  SocketPair pair;
+  ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable).ok());
+  ::close(pair.release(1));
+  std::vector<EventLoop::Ready> ready;
+  Result<int> n = loop.wait(0, ready);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(n.value(), 1);
+  // Hangup surfaces as readable (so the owner drains the EOF) plus error.
+  EXPECT_TRUE(has_event(ready, pair.fds[0], kEventReadable));
+  EXPECT_TRUE(has_event(ready, pair.fds[0], kEventError));
 }
 
 TEST(EventLoop, ApiEdges) {
-  for (EventLoop::Backend backend : backends_under_test()) {
-    EventLoop loop(backend);
-    ASSERT_TRUE(loop.valid());
-    loop.remove(12345);  // never watched: ignored
-    EXPECT_EQ(loop.watched(), 0u);
-    EXPECT_FALSE(loop.modify(12345, kEventReadable).ok());  // modify needs add
-    EXPECT_FALSE(loop.add(-1, kEventReadable).ok());
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  loop.remove(12345);  // never watched: ignored
+  EXPECT_EQ(loop.watched(), 0u);
+  EXPECT_FALSE(loop.modify(12345, kEventReadable).ok());  // modify needs add
+  EXPECT_FALSE(loop.add(-1, kEventReadable).ok());
 
-    SocketPair pair;
-    ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable).ok());
-    // Re-adding replaces the mask instead of duplicating the entry.
-    ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable | kEventWritable).ok());
-    EXPECT_EQ(loop.watched(), 1u);
-    loop.remove(pair.fds[0]);
-  }
+  SocketPair pair;
+  ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable).ok());
+  // Re-adding replaces the mask instead of duplicating the entry.
+  ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable | kEventWritable).ok());
+  EXPECT_EQ(loop.watched(), 1u);
+  loop.remove(pair.fds[0]);
 }
 
 // Connect/close storm: the interest set and kernel registration must stay
-// consistent through rapid fd reuse on both backends.
+// consistent through rapid fd reuse.
 TEST(EventLoop, FdChurnStorm) {
-  for (EventLoop::Backend backend : backends_under_test()) {
-    EventLoop loop(backend);
-    ASSERT_TRUE(loop.valid());
-    std::vector<EventLoop::Ready> ready;
-    for (int round = 0; round < 64; ++round) {
-      std::vector<std::unique_ptr<SocketPair>> pairs;
-      for (int i = 0; i < 8; ++i) {
-        pairs.push_back(std::make_unique<SocketPair>());
-        ASSERT_TRUE(loop.add(pairs.back()->fds[0], kEventReadable).ok());
-        char byte = static_cast<char>(i);
-        ASSERT_EQ(::send(pairs.back()->fds[1], &byte, 1, 0), 1);
-      }
-      EXPECT_EQ(loop.watched(), 8u);
-      Result<int> n = loop.wait(0, ready);
-      ASSERT_TRUE(n.ok());
-      EXPECT_EQ(n.value(), 8);
-      std::vector<int> watched_fds;
-      for (const auto& pair : pairs) {
-        EXPECT_TRUE(has_event(ready, pair->fds[0], kEventReadable));
-        watched_fds.push_back(pair->fds[0]);
-      }
-      // Half the rounds close the fds before remove() has run, mimicking an
-      // owner whose teardown races its bookkeeping.
-      if (round % 2 == 1) pairs.clear();
-      for (int fd : watched_fds) loop.remove(fd);
-      pairs.clear();
-      EXPECT_EQ(loop.watched(), 0u);
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  std::vector<EventLoop::Ready> ready;
+  for (int round = 0; round < 64; ++round) {
+    std::vector<std::unique_ptr<SocketPair>> pairs;
+    for (int i = 0; i < 8; ++i) {
+      pairs.push_back(std::make_unique<SocketPair>());
+      ASSERT_TRUE(loop.add(pairs.back()->fds[0], kEventReadable).ok());
+      char byte = static_cast<char>(i);
+      ASSERT_EQ(::send(pairs.back()->fds[1], &byte, 1, 0), 1);
     }
+    EXPECT_EQ(loop.watched(), 8u);
+    Result<int> n = loop.wait(0, ready);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), 8);
+    std::vector<int> watched_fds;
+    for (const auto& pair : pairs) {
+      EXPECT_TRUE(has_event(ready, pair->fds[0], kEventReadable));
+      watched_fds.push_back(pair->fds[0]);
+    }
+    // Half the rounds close the fds before remove() has run, mimicking an
+    // owner whose teardown races its bookkeeping.
+    if (round % 2 == 1) pairs.clear();
+    for (int fd : watched_fds) loop.remove(fd);
+    pairs.clear();
+    EXPECT_EQ(loop.watched(), 0u);
   }
-}
-
-TEST(EventLoop, BackendsAgreeOnReadiness) {
-  EventLoop fast(EventLoop::Backend::kDefault);
-  EventLoop portable(EventLoop::Backend::kPoll);
-  ASSERT_TRUE(fast.valid());
-  ASSERT_TRUE(portable.valid());
-  EXPECT_EQ(portable.backend(), EventLoop::Backend::kPoll);
-
-  SocketPair pair;
-  ASSERT_TRUE(fast.add(pair.fds[0], kEventReadable).ok());
-  ASSERT_TRUE(portable.add(pair.fds[0], kEventReadable).ok());
-  char byte = 'y';
-  ASSERT_EQ(::send(pair.fds[1], &byte, 1, 0), 1);
-
-  std::vector<EventLoop::Ready> a, b;
-  ASSERT_TRUE(fast.wait(0, a).ok());
-  ASSERT_TRUE(portable.wait(0, b).ok());
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(a[0].fd, b[0].fd);
-  EXPECT_EQ(a[0].events, b[0].events);
 }
 
 // A frame arriving in two halves produces two readiness events; the channel
@@ -343,10 +304,10 @@ TEST(EintrRegression, EagainSurfacesAsEmptyPoll) {
   EXPECT_FALSE(channel->closed());
 }
 
-// The poll-backend wait() retries EINTR with the remaining timeout instead
-// of reporting a spurious failure or hanging.
+// wait() retries an interrupted epoll_wait with the remaining timeout
+// instead of reporting a spurious failure or hanging.
 TEST(EintrRegression, EventLoopWaitRetriesInterruptedPoll) {
-  EventLoop loop(EventLoop::Backend::kPoll);
+  EventLoop loop;
   ASSERT_TRUE(loop.valid());
   SocketPair pair;
   ASSERT_TRUE(loop.add(pair.fds[0], kEventReadable).ok());
@@ -354,14 +315,14 @@ TEST(EintrRegression, EventLoopWaitRetriesInterruptedPoll) {
   ASSERT_EQ(::send(pair.fds[1], &byte, 1, 0), 1);
 
   ScopedSyscallOverride guard;
-  g_poll_eintr_budget.store(2);
-  syscall_hooks().poll = poll_eintr_then_real;
+  g_epoll_wait_eintr_budget.store(2);
+  syscall_hooks().epoll_wait = epoll_wait_eintr_then_real;
   std::vector<EventLoop::Ready> ready;
   Result<int> n = loop.wait(1000, ready);
   ASSERT_TRUE(n.ok()) << n.error().message;
   EXPECT_EQ(n.value(), 1);
   EXPECT_TRUE(has_event(ready, pair.fds[0], kEventReadable));
-  EXPECT_LE(g_poll_eintr_budget.load(), 0);
+  EXPECT_LE(g_epoll_wait_eintr_budget.load(), 0);
 }
 
 TEST(EintrRegression, AcceptRetriedAfterInterrupt) {

@@ -7,7 +7,6 @@
 // are parameterized over fault-plan seeds, so each timeline is exercised
 // under several distinct (but reproducible) fault interleavings.
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <fcntl.h>
@@ -563,49 +562,15 @@ ssize_t send_then_fail(int fd, const void* buf, size_t len, int flags) {
   return -1;
 }
 
-/// Caps RLIMIT_NOFILE for its lifetime so that an EventLoop built meanwhile
-/// gets its wakeup pipe (the two lowest free fds) but no epoll fd, and falls
-/// back to the poll(2) backend.
-class PollBackendCap {
- public:
-  PollBackendCap() {
-    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
-    int lowest_free[3];
-    for (int& fd : lowest_free) fd = ::open("/dev/null", O_RDONLY);
-    for (int fd : lowest_free) ::close(fd);
-    rlimit capped = saved_;
-    capped.rlim_cur = static_cast<rlim_t>(lowest_free[2]);
-    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
-  }
-  ~PollBackendCap() { (void)::setrlimit(RLIMIT_NOFILE, &saved_); }
-  PollBackendCap(const PollBackendCap&) = delete;
-  PollBackendCap& operator=(const PollBackendCap&) = delete;
-
- private:
-  rlimit saved_{};
-};
-
-std::unique_ptr<core::RmServer> server_on(ipc::EventLoop::Backend backend,
-                                          const platform::HardwareDescription& hw) {
-  if (backend != ipc::EventLoop::Backend::kPoll) return std::make_unique<core::RmServer>(hw);
-  PollBackendCap cap;
-  EXPECT_EQ(ipc::EventLoop().backend(), ipc::EventLoop::Backend::kPoll);
-  return std::make_unique<core::RmServer>(hw);
-}
-
-class RmFdReuse : public ::testing::TestWithParam<ipc::EventLoop::Backend> {};
-
 // Regression — a failed grant send closes the client's fd, but the record
 // stayed mapped until the next cycle. A client accepted onto the recycled fd
 // number first went unwatched (the loop saw a known fd), then lost its
 // mapping when the dead record was dropped: its later frames were never
 // read.
-TEST_P(RmFdReuse, ClientOnRecycledFdKeepsReceiving) {
-  const bool poll_backend = GetParam() == ipc::EventLoop::Backend::kPoll;
-  std::string path =
-      ::testing::TempDir() + (poll_backend ? "/harp_fd_reuse_poll.sock" : "/harp_fd_reuse.sock");
+TEST(RmFdReuse, ClientOnRecycledFdKeepsReceiving) {
+  std::string path = ::testing::TempDir() + "/harp_fd_reuse.sock";
   platform::HardwareDescription hw = platform::odroid_xu3e();
-  std::unique_ptr<core::RmServer> rm = server_on(GetParam(), hw);
+  auto rm = std::make_unique<core::RmServer>(hw);
   ASSERT_TRUE(rm->listen(path).ok());
 
   // B's socket predates A's accepted fd, so once that fd is freed it is the
@@ -657,14 +622,6 @@ TEST_P(RmFdReuse, ClientOnRecycledFdKeepsReceiving) {
   EXPECT_EQ(rm->client_count(), 1u);
   EXPECT_EQ(granted(), little.to_string(hw));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, RmFdReuse,
-    ::testing::Values(ipc::EventLoop::Backend::kEpoll, ipc::EventLoop::Backend::kPoll),
-    [](const ::testing::TestParamInfo<ipc::EventLoop::Backend>& info) {
-      return info.param == ipc::EventLoop::Backend::kPoll ? std::string("poll")
-                                                          : std::string("epoll");
-    });
 
 // ---------------------------------------------------------------------------
 // Telemetry over fault scenarios

@@ -267,9 +267,8 @@ TEST(LintFixtures, R6EventLoopHotPaths) {
 }
 
 TEST(LintFixtures, R6ParallelSolverHotPaths) {
-  // Fixtures shaped like the deterministic worker-pool kernel and the
-  // incremental λ iteration (src/common/parallel_for.cpp and
-  // src/harp/allocator.cpp are hot-path annotated): per-block scratch,
+  // Fixtures shaped like a blocked group scan and the incremental λ iteration
+  // (src/harp/allocator.cpp is hot-path annotated): per-block scratch,
   // per-iteration pick buffers, and per-lane labels must be hoisted into the
   // caller-owned workspace.
   expect_exact({fixture("r6_parallel_bad.cpp"), fixture("r6_parallel_good.cpp")}, {"r6"});
@@ -360,8 +359,8 @@ TEST(LintFixtures, R12MessagesNameTheCallAndHeldLock) {
   const Finding* transport = nullptr;
   const Finding* cv_wait = nullptr;
   for (const Finding& f : findings) {
-    if (f.line == 19) transport = &f;
-    if (f.line == 36) cv_wait = &f;
+    if (f.line == 17) transport = &f;
+    if (f.line == 34) cv_wait = &f;
   }
   ASSERT_NE(transport, nullptr);
   EXPECT_EQ(transport->message,

@@ -1,6 +1,6 @@
 // r12: blocking operations under a held harp::Mutex — transport calls,
-// sleeps, waiting syscalls, condition-variable waits that keep another
-// mutex locked, and ParallelFor dispatch all fire while a lock is held.
+// sleeps, waiting syscalls, and condition-variable waits that keep another
+// mutex locked all fire while a lock is held.
 #include <condition_variable>
 #include <mutex>
 
@@ -9,8 +9,6 @@
 struct Channel {
   bool send(int frame);
 };
-
-class ParallelFor;
 
 class Pump {
  public:
@@ -34,10 +32,6 @@ class Pump {
     std::unique_lock<std::mutex> lk(aux_);
     harp::MutexLock lock(mutex_);
     cv_.wait(lk);  // expect: r12
-  }
-  void fan_out(ParallelFor& pool) {
-    harp::MutexLock lock(mutex_);
-    pool.run(64, nullptr, nullptr);  // expect: r12
   }
 
  private:

@@ -1,9 +1,8 @@
-// Good fixture for r6 shaped like the deterministic worker pool and the
-// incremental λ iteration (src/common/parallel_for.cpp, src/harp/allocator.cpp
-// are hot-path annotated): kernels are raw function pointers over caller-owned
-// workspace buffers, per-lane relaxed/pick scratch is hoisted into the
-// workspace and sized once, and no λ iteration or dispatched block constructs
-// a vector or string.
+// Good fixture for r6 shaped like a blocked group scan and the incremental λ
+// iteration (src/harp/allocator.cpp is hot-path annotated): kernels are raw
+// function pointers over caller-owned workspace buffers, per-lane
+// relaxed/pick scratch is hoisted into the workspace and sized once, and no λ
+// iteration or scanned block constructs a vector or string.
 // harp-lint: hot-path
 #include <cstddef>
 #include <vector>

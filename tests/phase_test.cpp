@@ -132,6 +132,38 @@ TEST(PhasePolicy, KeepsPerStageTables) {
             1.5 * tables.at("phased#1").utility_max());
 }
 
+// Regression: a phase-aware policy handed learned per-stage tables installed
+// only the table of the stage an app started in; on entering stage 1 it
+// created an empty "<name>#1" table and relearned that stage from cold.
+TEST(PhasePolicy, InstallsShippedTableOfEveryStage) {
+  platform::HardwareDescription hw = platform::raptor_lake();
+  model::WorkloadCatalog catalog = model::WorkloadCatalog::raptor_lake();
+  model::AppBehavior app = two_phase_app();
+  app.total_work_gi = 3000;
+  catalog.add_app(app);
+  model::Scenario scenario{"phased", {{"phased", 0.0}}};
+  sim::RunOptions run_options;
+  run_options.repeat_horizon = 90.0;
+
+  core::HarpOptions options;
+  options.phase_aware = true;
+  core::HarpPolicy learner(options);
+  (void)sim::ScenarioRunner(hw, catalog, scenario, run_options).run(learner);
+  options.offline_tables = learner.tables();
+  const core::OperatingPointTable& shipped = options.offline_tables.at("phased#1");
+  ASSERT_GT(shipped.size(), 3u);
+
+  core::HarpPolicy reuser(options);
+  (void)sim::ScenarioRunner(hw, catalog, scenario, run_options).run(reuser);
+  auto tables = reuser.tables();
+  ASSERT_EQ(tables.count("phased#1"), 1u);
+  for (const core::OperatingPoint& point : shipped.points()) {
+    const core::OperatingPoint* kept = tables.at("phased#1").find(point.erv);
+    ASSERT_NE(kept, nullptr) << point.erv.to_string(hw) << " was dropped";
+    EXPECT_GE(kept->measurements, point.measurements) << point.erv.to_string(hw);
+  }
+}
+
 TEST(PhasePolicy, DisabledByDefault) {
   platform::HardwareDescription hw = platform::raptor_lake();
   model::WorkloadCatalog catalog = model::WorkloadCatalog::raptor_lake();

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <thread>
 #include <unordered_set>
 
-#include "src/common/parallel_for.hpp"
 #include "tools/harp_lint/callgraph.hpp"
 #include "tools/harp_lint/lexer.hpp"
 #include "tools/harp_lint/lockorder.hpp"
@@ -790,9 +788,9 @@ std::string format(const Finding& finding) {
 
 namespace {
 
-/// Minimal JSON string escaping (the linter deliberately stays off src/json
-/// — its only src/ dependency is the leaf parallel_for pool — so the rules
-/// can never be broken by the serialization code they lint).
+/// Minimal JSON string escaping (the linter deliberately depends on nothing
+/// under src/, so the rules can never be broken by the serialization code
+/// they lint).
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -844,31 +842,12 @@ std::string format_json(const std::vector<Finding>& findings) {
   return out;
 }
 
-namespace {
-
-/// Scan-phase kernel: lex files [begin, end) into their slots. Output is
-/// indexed by file position, so the result is identical for any lane count.
-void lex_kernel(void* ctx, std::size_t begin, std::size_t end, int /*lane*/) {
-  auto* scans = static_cast<std::vector<Scanned>*>(ctx);
-  for (std::size_t i = begin; i < end; ++i)
-    (*scans)[i].lexed = lex((*scans)[i].src->text);
-}
-
-}  // namespace
-
 std::vector<Finding> run(const std::vector<SourceFile>& files, const Options& options) {
   std::vector<Scanned> scans(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) scans[i].src = &files[i];
-  // Data-parallel scan phase: one block of files per lane slot. Lane count is
-  // capped by the block count so small inputs (the fixture suites drive run()
-  // hundreds of times) stay on the caller thread with zero pool setup.
-  std::size_t blocks =
-      (files.size() + harp::ParallelFor::kBlock - 1) / harp::ParallelFor::kBlock;
-  unsigned hw = std::thread::hardware_concurrency();
-  int lanes = static_cast<int>(
-      std::min({blocks, static_cast<std::size_t>(8), static_cast<std::size_t>(hw > 0 ? hw : 1)}));
-  harp::ParallelFor pool(std::max(1, lanes));
-  pool.run(files.size(), lex_kernel, &scans);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    scans[i].src = &files[i];
+    scans[i].lexed = lex(files[i].text);
+  }
 
   auto enabled = [&](const char* rule) {
     if (options.rules.empty()) return true;

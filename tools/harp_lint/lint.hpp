@@ -54,10 +54,10 @@
 //   r12 blocking-under-lock a blocking operation on a CFG path where a lock
 //                          is held: transport calls (send/recv/poll/accept/
 //                          connect), sleeps, blocking syscalls (epoll_wait,
-//                          select), condition-variable waits on *other*
-//                          mutexes, and ParallelFor dispatch. Sanctioned
-//                          nonblocking sites (the PR 8 event-loop transport
-//                          invariant) carry reasoned allow(r12 ...) comments.
+//                          select), and condition-variable waits on *other*
+//                          mutexes. Sanctioned nonblocking sites (the
+//                          event-loop transport invariant) carry reasoned
+//                          allow(r12 ...) comments.
 //   allow                  malformed suppression (missing mandatory reason),
 //                          or — under audit_suppressions — a stale allow()
 //                          that no longer matches any finding.

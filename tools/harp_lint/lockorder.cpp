@@ -246,7 +246,6 @@ struct PassContext {
   const std::vector<CgUnit>& units;
   IdentityTable identities;
   std::map<std::string, std::vector<std::string>> requires_index;
-  std::set<std::string> parallel_for_names;
   bool enable_r12 = false;
   std::vector<Finding>* findings = nullptr;
 
@@ -254,22 +253,6 @@ struct PassContext {
   std::map<std::pair<std::string, std::string>, Witness> edges;
   std::vector<FnAnalysis> fns;
 };
-
-/// Names declared with type ParallelFor anywhere in the tree (`ParallelFor
-/// pool_;`, `ParallelFor& pool`), for the r12 dispatch check.
-std::set<std::string> collect_parallel_for_names(const std::vector<CgUnit>& units) {
-  std::set<std::string> names;
-  for (const CgUnit& unit : units) {
-    const std::vector<Token>& t = unit.lexed->tokens;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (!is_ident(t[i]) || t[i].text != "ParallelFor") continue;
-      std::size_t j = i + 1;
-      while (j < t.size() && (is(t[j], "&") || is(t[j], "*") || is(t[j], "const"))) ++j;
-      if (j < t.size() && is_ident(t[j])) names.insert(t[j].text);
-    }
-  }
-  return names;
-}
 
 /// r12 checks for one statement against the lockset in force at its start.
 void check_blocking(PassContext& ctx, const CgUnit& unit, const std::vector<Token>& t,
@@ -326,15 +309,6 @@ void check_blocking(PassContext& ctx, const CgUnit& unit, const std::vector<Toke
                         "with a reason"});
       }
       continue;
-    }
-    if (name == "run" && member && i >= s.begin + 2 && is_ident(t[i - 2]) &&
-        ctx.parallel_for_names.count(t[i - 2].text) != 0) {
-      ctx.findings->push_back(
-          Finding{unit.src->rel_path, t[i].line, "r12",
-                  "ParallelFor dispatch '" + t[i - 2].text + ".run()' while " +
-                      held_clause(held_ids) +
-                      "; worker handoff can block — dispatch outside the critical section "
-                      "or suppress with a reason"});
     }
   }
 }
@@ -606,8 +580,7 @@ LockOrderGraph run_pass(const CallGraph& cg, const std::vector<CgUnit>& units,
   for (const CgUnit& u : units) lock_units.push_back(LockUnit{u.src, u.lexed});
 
   PassContext ctx{cg, units, IdentityTable(collect_mutex_members(lock_units)),
-                  collect_requires_index(lock_units), {}, false, nullptr, {}, {}};
-  ctx.parallel_for_names = collect_parallel_for_names(units);
+                  collect_requires_index(lock_units), false, nullptr, {}, {}};
   ctx.enable_r12 = enable_r12;
   ctx.findings = &findings;
   ctx.fns.assign(cg.nodes.size(), FnAnalysis{});
